@@ -29,7 +29,7 @@ BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeS
 # out of three no longer reads as a regression in bench-compare.
 BENCH_COUNT ?= 3
 
-.PHONY: build build-cmds build-cross test race race-engine bench bench-smoke bench-save bench-compare serve-smoke serve-compare profile clean fmt fmt-check vet lint audit ci
+.PHONY: build build-cmds build-cross test race race-engine race-engine-names bench bench-smoke bench-save bench-compare serve-smoke serve-compare profile clean fmt fmt-check vet lint audit ci
 
 # serve-smoke knobs: where detservd listens and where loadgen writes its
 # latency quantiles (archived as a CI artifact next to $(BENCH_OUT)).
@@ -75,20 +75,40 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # The warm-Engine determinism tables in isolation, plus the cross-path
-# equivalence tables (epoch-stamped vs scalar objectives in lowdeg, sharded
-# vs serial EvalKeys) and the request-scoped API tables (cancellation at
-# every Parallelism level against a shared engine, per-solve override
-# equivalence, observer-stream determinism): worker-count independence of a
-# REUSED engine (dirty scratch buffers, pooled contexts) under the race
-# detector. Part of `make race` too; this target mirrors the dedicated CI
-# job so an engine-reuse, equivalence or cancellation regression is
-# attributable at a glance. The serve package rides along: its tests
-# byte-compare served responses against direct Engine solves under
-# concurrent mixed load, which is the same contract one layer up.
-race-engine:
-	$(GO) test -race -timeout 30m -run 'TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestHashKernelMatchesScalarPath|TestBlockedKernelMatchesScalarPath|TestLowDegObjectiveKernelVsScalar|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence' .
+# equivalence tables (the single seed-search pipeline against the recorded
+# scalar-path outputs and trajectories, sharded vs serial EvalKeys) and the
+# request-scoped API tables (cancellation at every Parallelism level against
+# a shared engine, per-solve override equivalence, observer-stream
+# determinism): worker-count independence of a REUSED engine (dirty scratch
+# buffers, pooled contexts) under the race detector. Part of `make race`
+# too; this target mirrors the dedicated CI job so an engine-reuse,
+# equivalence or cancellation regression is attributable at a glance. The
+# serve package rides along: its tests byte-compare served responses
+# against direct Engine solves under concurrent mixed load, which is the
+# same contract one layer up. The kernel list pins the seed-search driver,
+# its sinks and the selection/kernel equivalences under -race.
+#
+# Every name in a -run list must match a test of its packages: the
+# race-engine-names step checks each with `go test -list` first and fails
+# on a miss, so renaming a test can never silently shrink the gate.
+RACE_ENGINE_ROOT = TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestHashKernelMatchesScalarPath|TestBlockedKernelMatchesScalarPath|TestLowDegObjectiveKernelVsScalar|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
+RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood
+RACE_ENGINE_KERNEL_PKGS = ./internal/core/ ./internal/hashfam/ ./internal/condexp/ ./internal/matching/ ./internal/mis/ ./internal/lowdeg/ ./internal/sparsify/
+
+race-engine: race-engine-names
+	$(GO) test -race -timeout 30m -run '$(RACE_ENGINE_ROOT)' .
 	$(GO) test -race -timeout 30m ./internal/serve/
-	$(GO) test -race -timeout 30m -run 'TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys' ./internal/core/ ./internal/hashfam/
+	$(GO) test -race -timeout 30m -run '$(RACE_ENGINE_KERNEL)' $(RACE_ENGINE_KERNEL_PKGS)
+
+# check-run-names fails unless every |-separated name in $(1) is the exact
+# name of a test, fuzz target or benchmark in the packages $(2).
+check-run-names = for name in $(subst |, ,$(1)); do \
+		$(GO) test -list "^$$name$$" $(2) | grep -qx "$$name" || { echo "race-engine: no test named $$name in $(2)"; exit 1; }; \
+	done
+
+race-engine-names:
+	@$(call check-run-names,$(RACE_ENGINE_ROOT),.)
+	@$(call check-run-names,$(RACE_ENGINE_KERNEL),$(RACE_ENGINE_KERNEL_PKGS))
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
 bench:

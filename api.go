@@ -64,7 +64,11 @@ const (
 // the paper's δ = ε/8 coupling, slack 4, half-expectation thresholds,
 // automatic strategy, cost tracking on.
 type Options struct {
-	// Epsilon is the per-machine space exponent (S = Θ(n^ε)), in (0, 1].
+	// Epsilon is the per-machine space exponent (S = Θ(n^ε)), in
+	// [8/63, 1]: 1/δ = ⌈8/ε⌉ must stay below the 64 hash domain-separation
+	// slots. Values outside the range (like those of Slack, ThresholdFrac
+	// and a negative Parallelism below) fail the solve with
+	// ErrInvalidOptions.
 	Epsilon float64
 	// Slack relaxes the asymptotic concentration constants (DESIGN.md
 	// substitution 4). Must be positive.
@@ -87,13 +91,6 @@ type Options struct {
 	// worker-count-independence tests run under -race in CI — so this knob
 	// trades only wall-clock time, never output.
 	Parallelism int
-	// Serial disables host parallelism entirely.
-	//
-	// Deprecated: set Parallelism: 1 instead. Serial predates the
-	// Parallelism knob and is kept only so existing callers keep compiling;
-	// its precedence is unchanged (Serial wins over Parallelism when both
-	// are set, decided in core.EffectiveParallelism).
-	Serial bool
 	// PreparedCacheCap bounds the Engine's prepared-graph cache
 	// (Engine.Prepare): when an insert would exceed the cap, the
 	// least-recently-used entry (by Prepare/Prepared touch order) is
@@ -110,25 +107,26 @@ type Options struct {
 // upload storm cannot grow the engine without limit.
 const DefaultPreparedCacheCap = 256
 
-func (o *Options) params() core.Params {
+// params resolves the options to core parameters. Every range rule lives in
+// core.Params.Check; a violation is reported as ErrInvalidOptions.
+func (o *Options) params() (core.Params, error) {
 	p := core.DefaultParams()
-	if o == nil {
-		return p
+	if o != nil {
+		if o.Epsilon != 0 {
+			p = p.WithEpsilon(o.Epsilon)
+		}
+		if o.Slack != 0 {
+			p.Slack = o.Slack
+		}
+		if o.ThresholdFrac != 0 {
+			p.ThresholdFrac = o.ThresholdFrac
+		}
+		p.Parallelism = o.Parallelism
 	}
-	if o.Epsilon != 0 {
-		p = p.WithEpsilon(o.Epsilon)
+	if err := p.Check(); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
-	if o.Slack != 0 {
-		p.Slack = o.Slack
-	}
-	if o.ThresholdFrac != 0 {
-		p.ThresholdFrac = o.ThresholdFrac
-	}
-	// Serial/Parallelism precedence is decided in exactly one place
-	// (core.EffectiveParallelism); everything below this call sees only
-	// Params.Parallelism.
-	p.Parallelism = core.EffectiveParallelism(o.Serial, o.Parallelism)
-	return p
+	return p, nil
 }
 
 func (o *Options) strategy() Strategy {
@@ -210,6 +208,10 @@ var (
 	// that names none of the defined strategies; errors.As with
 	// *UnknownStrategyError recovers the offending value.
 	ErrUnknownStrategy = errors.New("repro: unknown strategy")
+	// ErrInvalidOptions marks an option value outside its documented range
+	// (for example an Epsilon so small that 1/δ exceeds the hash slot
+	// space). The error text names the offending value.
+	ErrInvalidOptions = errors.New("repro: invalid options")
 	// ErrNotMaximal marks an internal failure: the solver produced output
 	// that did not verify maximal. It should never be observed; errors.As
 	// with *NotMaximalError recovers the verifier's reason.
@@ -306,10 +308,9 @@ func WithStrategy(s Strategy) SolveOption {
 }
 
 // WithParallelism pins the host worker count for this solve (0 = one per
-// logical CPU, 1 = serial). It also clears the deprecated Serial flag so the
-// explicit per-solve value always wins over an engine-level alias.
+// logical CPU, 1 = serial).
 func WithParallelism(workers int) SolveOption {
-	return func(c *solveConfig) { c.Parallelism, c.Serial = workers, false }
+	return func(c *solveConfig) { c.Parallelism = workers }
 }
 
 // WithEpsilon sets the space exponent ε for this solve.
@@ -403,6 +404,14 @@ func (e *Engine) config(opts []SolveOption) *solveConfig {
 		}
 	}
 	return cfg
+}
+
+// CheckOptions reports the ErrInvalidOptions a solve with these overrides,
+// layered over the engine's base Options, would fail with — without
+// solving. A server calls it to reject a request before queueing it.
+func (e *Engine) CheckOptions(opts ...SolveOption) error {
+	_, err := e.config(opts).params()
+	return err
 }
 
 // MaximalMatchingCtx computes a maximal matching of g deterministically
@@ -507,7 +516,10 @@ func oneShotConfig(opts *Options) *solveConfig {
 // concrete strategy for g.
 func resolve(ctx context.Context, g *Graph, cfg *solveConfig) (core.Params, *simcost.Model, Strategy, error) {
 	opts := &cfg.Options
-	p := opts.params()
+	p, err := opts.params()
+	if err != nil {
+		return p, nil, "", err
+	}
 	if done := ctx.Done(); done != nil {
 		p.Done = func() bool {
 			select {

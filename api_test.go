@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/check"
@@ -116,7 +118,7 @@ func TestSkipCostTracking(t *testing.T) {
 
 func TestOptionsPropagate(t *testing.T) {
 	g, _ := Generate("gnm", 512, 16, 7)
-	res, err := MaximalIndependentSet(g, &Options{Epsilon: 0.75, Serial: true})
+	res, err := MaximalIndependentSet(g, &Options{Epsilon: 0.75, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestDeterministicAcrossCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaximalIndependentSet(g, &Options{Serial: true})
+	b, err := MaximalIndependentSet(g, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +173,58 @@ func TestDeterministicAcrossCalls(t *testing.T) {
 		if a.Nodes[i] != b.Nodes[i] {
 			t.Fatal("results differ across calls")
 		}
+	}
+}
+
+// TestInvalidOptionsTypedError pins the single validation rule set
+// (core.Params.Check) at the API: out-of-range values — including an
+// epsilon small enough that 1/δ = ceil(8/ε) reaches the hash slot space —
+// fail with ErrInvalidOptions from the free functions, the Engine, a
+// per-solve override and CheckOptions alike, and never panic.
+func TestInvalidOptionsTypedError(t *testing.T) {
+	g, err := Generate("gnm", 64, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name string
+		opts Options
+		over SolveOption
+	}{
+		{"epsilon=0.12", Options{Epsilon: 0.12}, WithEpsilon(0.12)},
+		{"epsilon=0.1", Options{Epsilon: 0.1}, WithEpsilon(0.1)},
+		{"epsilon=1e-9", Options{Epsilon: 1e-9}, WithEpsilon(1e-9)},
+		{"epsilon=-0.5", Options{Epsilon: -0.5}, WithEpsilon(-0.5)},
+		{"epsilon=2", Options{Epsilon: 2}, WithEpsilon(2)},
+		{"slack=-1", Options{Slack: -1}, WithSlack(-1)},
+		{"threshold_frac=1.5", Options{ThresholdFrac: 1.5}, WithThresholdFrac(1.5)},
+		{"parallelism=-2", Options{Parallelism: -2}, WithParallelism(-2)},
+	}
+	for _, c := range bad {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := MaximalIndependentSet(g, &c.opts); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("MaximalIndependentSet: err = %v, want ErrInvalidOptions", err)
+			}
+			if _, err := MaximalMatching(g, &c.opts); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("MaximalMatching: err = %v, want ErrInvalidOptions", err)
+			}
+			eng := NewEngine(nil)
+			if _, err := eng.MaximalMatchingCtx(context.Background(), g, c.over); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("Engine override: err = %v, want ErrInvalidOptions", err)
+			}
+			if err := eng.CheckOptions(c.over); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("CheckOptions: err = %v, want ErrInvalidOptions", err)
+			}
+			if _, err := NewEngine(&c.opts).MaximalIndependentSet(g); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("Engine base options: err = %v, want ErrInvalidOptions", err)
+			}
+		})
+	}
+	// The smallest epsilon whose 1/δ still fits the slot space solves.
+	if _, err := MaximalIndependentSet(g, &Options{Epsilon: 0.13}); err != nil {
+		t.Errorf("epsilon=0.13: %v", err)
+	}
+	if err := NewEngine(nil).CheckOptions(WithEpsilon(0.13)); err != nil {
+		t.Errorf("CheckOptions(epsilon=0.13): %v", err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/mis"
 	"repro/internal/mpc"
-	"repro/internal/scratch"
 	"repro/internal/simcost"
 	"repro/internal/sparsify"
 )
@@ -103,29 +102,37 @@ func BenchmarkT6_CongestedClique(b *testing.B) {
 	}
 }
 
+// seedSearchSink is the matching objective's sink shape for the seed-search
+// benchmark: the production edge selection, valued by its size.
+type seedSearchSink struct{ core.EdgeSink }
+
+func (k *seedSearchSink) Value(s int) int64 { return int64(len(k.Select(s))) }
+
 // BenchmarkT7_SeedSearch times the batched deterministic seed search in
 // isolation: evaluating 64 candidate seeds of the matching-selection
-// objective over a fixed E* (one charged O(1)-round batch), exactly as the
-// production searches do it — the slot-0 edge keys, packed selection keys
-// and packed-path decision are precomputed once per round (core.EdgeSel),
-// and the candidate seeds walk in condexp.BlockSeeds-sized groups through
-// the block-major kernel (Evaluator.EvalSeedsBlocked: S seeds per
-// cache-resident key block into a scratch tile, AVX2 inner loop where the
-// host has it) followed by one epoch-stamped local-minimum selection per
-// tile row on pooled scratch that touches only E*'s endpoints.
+// objective over a fixed edge set (one charged O(1)-round batch), exactly as
+// the production searches do it — the slot-0 edge keys and the selection
+// plan are precomputed once per round (core.EdgeSel), and the batch runs
+// through the one seed-search driver (condexp.BlockSearch: BlockSeeds-sized
+// seed groups per cache-resident key block) on warm pooled sinks. The two
+// sub-benchmarks pin the two kinds of core.EdgeSink, each asserting the
+// branch it times: Fold is the round-1 E* of the graph (dense, every
+// evaluated block folded into per-node minimum tables), Rows keeps every
+// 16th edge of it (sparse, the kernel fills full-length rows that the
+// stamped LocalMinEdgesSel then scans).
 func BenchmarkT7_SeedSearch(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
 	sp := sparsify.SparsifyEdges(g, p, nil)
-	edges := sp.EStar.Edges()
+	estar := sp.EStar.Edges()
+	var sparse []graph.Edge
+	for i := 0; i < len(estar); i += 16 {
+		sparse = append(sparse, estar[i])
+	}
 	fam := core.PairwiseFamily(g.N())
-	evaluator := hashfam.NewEvaluator(fam)
 	n := g.N()
-	keys := core.SlotKeysInto(make([]uint64, 0, len(edges)), edges, 0, n)
-	var sel core.EdgeSel
-	core.EdgeSelInit(&sel, n, edges, make([]uint64, 0, len(edges)), fam.P()-1)
 	// Seeds are materialized into a flat buffer per batch exactly as
-	// condexp.Search does it; the timed loop then walks BlockSeeds groups.
+	// condexp.SearchAtLeastBatch does it.
 	const batch = 64
 	seedLen := fam.SeedLen()
 	seedBuf := make([]uint64, batch*seedLen)
@@ -136,22 +143,32 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 		copy(s, enum.Seed())
 		seeds[i] = s
 	}
-	var tile scratch.Tile
-	var lm core.EdgeMinScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < batch; lo += condexp.BlockSeeds {
-			hi := lo + condexp.BlockSeeds
-			if hi > batch {
-				hi = batch
+	for _, bc := range []struct {
+		name  string
+		edges []graph.Edge
+		fold  bool
+	}{
+		{"Fold", estar, true},
+		{"Rows", sparse, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			keys := core.SlotKeysInto(make([]uint64, 0, len(bc.edges)), bc.edges, 0, n)
+			var sel core.EdgeSel
+			core.EdgeSelInit(&sel, n, bc.edges, make([]uint64, 0, len(bc.edges)), fam.P()-1)
+			if sel.Fold() != bc.fold {
+				b.Fatalf("%d edges over %d nodes: sel.Fold() = %v, want %v", len(bc.edges), n, sel.Fold(), bc.fold)
 			}
-			rows := tile.Rows(hi-lo, len(keys))
-			evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, rows)
-			for s := lo; s < hi; s++ {
-				core.LocalMinEdgesSel(&lm, &sel, rows[s-lo])
+			driver := condexp.NewBlockSearch(hashfam.NewEvaluator(fam), 1, func() condexp.Sink {
+				return &seedSearchSink{core.EdgeSink{Sel: &sel}}
+			})
+			objective := driver.Objective(keys)
+			values := make([]int64, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				objective(seeds, values)
 			}
-		}
+		})
 	}
 }
 
@@ -209,7 +226,7 @@ func BenchmarkEvalSeedsBlocked(b *testing.B) {
 		copy(s, enum.Seed())
 		seeds[i] = s
 	}
-	var tile scratch.Tile
+	var tile hashfam.Tile
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,11 +241,23 @@ func BenchmarkEvalSeedsBlocked(b *testing.B) {
 	}
 }
 
+// selectNodes runs one full-vector node selection through the production
+// sink dispatch (core.NodeSink): flat NodeFold tables on dense rounds, a
+// filled row and the epoch-stamped scan otherwise.
+func selectNodes(k *core.NodeSink, g *graph.Graph, z []uint64) []graph.NodeID {
+	if rows := k.Begin(1); rows != nil {
+		copy(rows[0], z)
+	} else {
+		k.Fold(0, 0, len(z), z)
+	}
+	return k.Select(g, 0)
+}
+
 // BenchmarkT7_NodeSelectionScan isolates the node-side selection term of the
 // seed searches (the scan the MIS and lowdeg objectives run per candidate
 // seed): 64 selections over a fixed live set and z vector on warm scratch,
-// through the production LocalMinNodesSelIn entry — which on this dense
-// round takes the NodeFold flat-table path (round-wiped tables, one-word
+// through the production core.NodeSink — which on this dense round takes
+// the NodeFold flat-table path (round-wiped tables, one-word
 // neighbour probes). bench-compare tracks it alongside
 // BenchmarkT7_SelectionScan so the node and edge scan disciplines are
 // attributable separately.
@@ -250,13 +279,12 @@ func BenchmarkT7_NodeSelectionScan(b *testing.B) {
 	e := fam.Enumerate()
 	e.Next()
 	evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
-	var nf core.NodeFold
-	var dst []graph.NodeID
+	k := core.NodeSink{Sel: &sel}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for count := 0; count < 64; count++ {
-			dst = core.LocalMinNodesSelIn(&nf, dst, g, &sel, z)
+			selectNodes(&k, g, z)
 		}
 	}
 }
@@ -264,7 +292,7 @@ func BenchmarkT7_NodeSelectionScan(b *testing.B) {
 // BenchmarkLocalMinNodesSel times one selection pass per discipline on the
 // T7 workload: Dense runs the NodeFold flat-table path over a fully live
 // round, Sparse the epoch-stamped scan over a 1/8-density live set (below
-// the Dense gate), both through the production LocalMinNodesSelIn dispatch.
+// the Dense gate), both through the production core.NodeSink dispatch.
 // DenseStamped forces the SAME fully-live round through the epoch-stamped
 // LocalMinNodesSel entry, so the flat-table rebuild's speedup on dense
 // rounds (Dense vs DenseStamped) stays measured in every saved baseline.
@@ -287,12 +315,11 @@ func BenchmarkLocalMinNodesSel(b *testing.B) {
 		e := fam.Enumerate()
 		e.Next()
 		evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
-		var nf core.NodeFold
-		var dst []graph.NodeID
+		k := core.NodeSink{Sel: &sel}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = core.LocalMinNodesSelIn(&nf, dst, g, &sel, z)
+			selectNodes(&k, g, z)
 		}
 	}
 	b.Run("Dense", func(b *testing.B) { run(b, func(v int) bool { return true }, true) })

@@ -22,7 +22,6 @@
 //
 //	GET  /healthz    liveness probe
 //	GET  /v1/status  aggregate + per-engine admission/solve counters
-//	GET  /v1/stats   alias of /v1/status
 //	POST /v1/graphs  upload a graph, get its content fingerprint
 //	POST /v1/solve   solve matching or MIS; "stream": true for NDJSON
 //	                 per-round progress (disconnecting cancels the solve
@@ -66,13 +65,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("detservd: ")
 
+	opts := &repro.Options{
+		Epsilon:          *eps,
+		Strategy:         repro.Strategy(*strategy),
+		Parallelism:      *par,
+		SkipCostTracking: *skipCost,
+	}
+	// Out-of-range defaults would fail every request; refuse to start.
+	if err := repro.NewEngine(opts).CheckOptions(); err != nil {
+		log.Fatal(err)
+	}
 	s := serve.New(serve.Config{
-		Options: &repro.Options{
-			Epsilon:          *eps,
-			Strategy:         repro.Strategy(*strategy),
-			Parallelism:      *par,
-			SkipCostTracking: *skipCost,
-		},
+		Options:        opts,
 		Engines:        *engines,
 		Workers:        *workers,
 		QueueDepth:     *queue,

@@ -54,40 +54,42 @@
 // worker-count-independence tables against warm reused engines under the
 // race detector (make race-engine).
 //
-// The Engine's arithmetic hot path is the blocked hash kernel: every seed
-// search precomputes its round's seed-independent state once — the hash-key
-// vector (core.SlotKeysInto, or a core.NodeSel live list restricted to the
-// round's candidates), the packed selection keys and the packed-path
-// decision (core.EdgeSel) — and candidate seeds are then evaluated
-// block-major: the kernel walks the key vector in cache-resident
-// hashfam.BlockKeyGrain blocks and evaluates all S seeds of a
-// condexp.BlockSeeds-sized group against each block before moving to the
-// next, so key loads are amortized S-fold and the kernel is bounded by
-// arithmetic, not memory traffic. On rounds whose selection state qualifies
-// (the common case), the batch objectives run the FUSED form of that walk —
-// hashfam.Evaluator.EvalSeedsBlockedFold — which hands each evaluated
-// S×BlockKeyGrain block to a fold callback immediately, while the block is
-// still cache-resident: the callback scatters the values into flat per-seed
-// selection tables (core.NodeFold / core.EdgeFold) or per-seed goodness
-// cursors (internal/sparsify, branchless scans judged against acceptance
-// intervals precomputed once per stage — the deviation bounds depend only
-// on each group's fixed size and weight, never on the seed), so the scratch
-// tile shrinks from S×len(keys) words to one block per seed and the hash
-// values never round-trip through memory before selection reads them. The two-pass shape — EvalSeedsBlocked
-// into a full-width internal/scratch.Tile, then one z-row selection per
-// seed — is retained as the fallback for rounds outside the fold gates and
-// as the fuzz-proven equivalence reference (reassembled fold blocks are
-// byte-compared against it). The arithmetic is regime-dispatched per field
-// prime (internal/intmath.Reducer): a single high-multiply Barrett path for
-// m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64 and a
-// pure-Go fallback elsewhere — a branchless Montgomery path for odd
-// m < 2^63, and Möller–Granlund wide reduction for the rest. Every regime
-// computes exactly the same field values as the scalar hashfam.Family.Eval
-// fallback, so derandomized outputs are bit-identical either way (proven
-// end to end by the kernel-vs-scalar and blocked-vs-scalar tables in
-// parallel_determinism_test.go and by fuzzing the blocked and fold kernels
-// against per-seed EvalKeys); see the "Hash kernel" and "Selection scan"
-// sections of ROADMAP.md.
+// The Engine's arithmetic hot path is one seed-search driver,
+// condexp.BlockSearch, shared by every derandomized step — the matching and
+// MIS selections (Sections 3.3 and 4.3), the Section 5 phases, and the
+// sparsification stages (Sections 3.2 and 4.2). Each step precomputes its
+// round's seed-independent state once — the hash-key vector
+// (core.SlotKeysInto, or a core.NodeSel live list restricted to the round's
+// candidates) and the selection plan (core.EdgeSel / core.NodeSel) — and
+// supplies only that key vector plus a per-worker sink (condexp.Sink:
+// Begin / Fold / Value). The driver owns everything else: it splits each
+// charged batch into condexp.BlockSeeds-sized seed groups fanned out over
+// the worker pool, checks a pooled sink and evaluation tile out per group,
+// and runs the one block-major kernel loop of hashfam.Evaluator, which walks
+// the key vector in cache-resident 512-key blocks and evaluates every seed
+// of the group against a block before moving on (key loads amortized
+// S-fold). The sinks come in two kinds, chosen per round by what Begin
+// returns. Fold sinks get each evaluated block while it is still in cache
+// (EvalSeedsBlockedFold): flat per-seed selection tables (core.NodeFold /
+// core.EdgeFold, behind core.NodeSink / core.EdgeSink) on dense rounds, and
+// per-seed goodness cursors in internal/sparsify (branchless scans judged
+// against acceptance intervals precomputed once per stage). Row sinks, used
+// on sparse selection rounds, hand the driver pooled full-length rows that
+// the kernel fills directly (EvalSeedsBlocked), and run the epoch-stamped
+// selection in Value. Both kinds see exactly the
+// values a plain z[i] = Family.Eval(seed, keys[i]) loop produces, in key
+// order, so the choice is a speed decision only (condexp's driver table and
+// fuzz test pin it). The one single-seed evaluation per round — applying
+// the selected seed — uses hashfam.Evaluator.EvalKeysW, which shards one
+// seed's key vector over the pool instead. The arithmetic is
+// regime-dispatched per field prime (internal/intmath.Reducer): a single
+// high-multiply Barrett path for m ≤ 2^32 — with a GOARCH-gated AVX2
+// assembly inner loop on amd64 and a pure-Go fallback elsewhere — a
+// branchless Montgomery path for odd m < 2^63, and Möller–Granlund wide
+// reduction for the rest. Every regime computes exactly the field values of
+// hashfam.Family.Eval, fuzz-proven for the kernel; end to end,
+// scalar_reference_test.go pins outputs and seed trajectories to those the
+// retired per-item closure objectives recorded.
 //
 // The selection side of that path picks its table discipline per round, for
 // edges and nodes alike. Dense rounds — the live set covers at least a
@@ -161,9 +163,13 @@
 // sentinels, arranged so a server can switch on the coarse class and
 // refine when it cares:
 //
-//   - ErrNilGraph, ErrUnknownStrategy — request construction errors,
-//     reported before any solving starts. *UnknownStrategyError carries
-//     the offending strategy through errors.As.
+//   - ErrNilGraph, ErrUnknownStrategy, ErrInvalidOptions — request
+//     construction errors, reported before any solving starts.
+//     *UnknownStrategyError carries the offending strategy through
+//     errors.As; an ErrInvalidOptions message names the out-of-range value.
+//     Option ranges have one definition (core.Params.Check), which
+//     (*Engine).CheckOptions exposes so a server can reject a request
+//     before queueing it.
 //   - ErrCanceled — the solve was abandoned at a round or seed-batch
 //     boundary because its context ended. The chain also matches the
 //     context's cause (context.Canceled or context.DeadlineExceeded).
@@ -277,8 +283,7 @@
 // the simulator's machine-step fan-out — all execute on a shared bounded
 // worker pool (internal/parallel) sized by Options.Parallelism: 0 (default)
 // means one worker per logical CPU, 1 forces serial execution, larger values
-// pin an explicit count. The legacy Options.Serial flag is an alias for
-// Parallelism: 1.
+// pin an explicit count.
 //
 // The determinism contract: every result is bit-identical at every
 // Parallelism setting. The pool guarantees it structurally — work is split

@@ -280,46 +280,3 @@ func TestEngineNilGraph(t *testing.T) {
 		t.Fatalf("MaximalIndependentSet(nil): err = %v, want ErrNilGraph", err)
 	}
 }
-
-// TestSerialParallelismPrecedence pins the satellite requirement that the
-// Serial/Parallelism conflict is resolved in exactly one place: Serial wins,
-// and the resolved value is what reaches core.Params.
-func TestSerialParallelismPrecedence(t *testing.T) {
-	cases := []struct {
-		opts *Options
-		want int
-	}{
-		{&Options{Serial: true, Parallelism: 8}, 1}, // the conflict: Serial wins
-		{&Options{Serial: true}, 1},
-		{&Options{Parallelism: 8}, 8},
-		{&Options{}, 0},
-		{nil, 0},
-	}
-	for _, c := range cases {
-		if got := c.opts.params().Parallelism; got != c.want {
-			t.Errorf("params().Parallelism = %d, want %d for %+v", got, c.want, c.opts)
-		}
-	}
-	// The conflict case must also produce identical results to an explicit
-	// Parallelism=1 run.
-	g, err := Generate("gnm", 256, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := MaximalIndependentSet(g, &Options{Serial: true, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MaximalIndependentSet(g, &Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("Serial+Parallelism=8 and Parallelism=1 disagree: %d vs %d nodes", len(a.Nodes), len(b.Nodes))
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("node %d differs", i)
-		}
-	}
-}

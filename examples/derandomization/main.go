@@ -54,8 +54,13 @@ func main() {
 		seed, obj(seed), condExp)
 
 	// 2. The batched scan (what runs inside the MPC algorithms): first
-	// seed in enumeration order meeting the mean.
-	res, err := condexp.SearchAtLeast(fam, obj, int64(mean), condexp.Options{BatchSize: 16})
+	// seed in enumeration order meeting the mean, 16 candidates per batch.
+	batch := func(seeds [][]uint64, values []int64) {
+		for i, seed := range seeds {
+			values[i] = obj(seed)
+		}
+	}
+	res, err := condexp.SearchAtLeastBatch(fam, batch, int64(mean), condexp.Options{BatchSize: 16})
 	if err != nil {
 		panic(err)
 	}

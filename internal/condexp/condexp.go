@@ -10,15 +10,20 @@
 // computation is free in the MPC model.
 //
 // On a laptop local computation is not free, so the default procedure is
-// SearchAtLeast: scan the family in its fixed enumeration order, evaluating
-// batches of up to S candidate seeds per charged O(1)-round AllReduce (each
-// machine evaluates every candidate on its local data; the summed vector
-// tells everyone the first candidate meeting the threshold). The output is
+// SearchAtLeastBatch: scan the family in its fixed enumeration order,
+// evaluating batches of up to S candidate seeds per charged O(1)-round
+// AllReduce (each machine evaluates every candidate on its local data; the
+// summed vector tells everyone the first candidate meeting the threshold). The output is
 // deterministic — the first seed in enumeration order with q(seed) >= Q —
 // and termination is guaranteed whenever the expectation bound actually
 // holds for the finite family. DESIGN.md discusses this substitution; the
 // exact chunk-by-chunk method is also implemented (SearchConditional) and
-// tested against SearchAtLeast on small families.
+// tested against SearchAtLeastBatch on small families.
+//
+// Every production objective scores its candidates through one driver,
+// BlockSearch: the objective supplies its per-round key vector and a
+// per-worker Sink, and the driver owns seed grouping, worker fan-out, the
+// pooled evaluation tile and the block-major hash kernel.
 package condexp
 
 import (
@@ -26,59 +31,111 @@ import (
 
 	"repro/internal/hashfam"
 	"repro/internal/parallel"
+	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
 
-// Objective evaluates the global objective for a full seed. Implementations
-// must be safe for concurrent calls (seed slices are never shared between
-// concurrent calls).
+// Objective evaluates the global objective for a full seed: the per-seed
+// form of the exact-method reference (SearchConditional, FamilyMean).
 type Objective func(seed []uint64) int64
 
 // BatchObjective evaluates one whole batch of candidate seeds against
 // shared per-round state: it must set values[i] = q(seeds[i]) for every i,
-// with slot i depending only on seeds[i]. This is the vectorized form the
-// hash-kernel seed searches use — the caller hands the batch's whole seed
-// matrix over at once, so the implementation can evaluate block-major:
-// groups of BlockSeeds seeds per cache-resident key block through
-// hashfam.Evaluator.EvalSeedsBlocked into a scratch tile (see
-// ForEachSeedBlock), amortising one pass of key-vector memory traffic over
-// the group. Results stay bit-identical at any worker count — and identical
-// to per-seed EvalKeys evaluation — because slots are independent and the
-// blocked kernel is byte-equal to the seed-major one.
+// with slot i depending only on seeds[i]. Handing the whole batch over at
+// once is what lets BlockSearch evaluate it block-major.
 type BatchObjective func(seeds [][]uint64, values []int64)
 
-// BlockSeeds is the seed-group width of the blocked evaluation path: how
-// many candidate seeds a BatchObjective evaluates per cache-resident key
-// block in one EvalSeedsBlocked call. Eight pairwise seeds keep the S×block
-// output tile at 8·4KB alongside the key block, inside L2 with room to
-// spare, while amortising the key-vector read traffic 8 ways. It also sets
-// the granularity ForEachSeedBlock fans groups out at, so batch sizes (the
+// BlockSeeds is the seed-group width of BlockSearch: how many candidate
+// seeds share one pass over the key vector. Eight pairwise seeds keep the
+// S×block output tile at 8·4KB alongside the key block, inside L2 with room
+// to spare, while amortising the key-vector read traffic 8 ways. It also
+// sets the granularity groups fan out over workers at, so batch sizes (the
 // default Options.BatchSize is 64) should be multiples of it for even
 // worker utilisation — but any batch length works, the last group just runs
 // short.
 const BlockSeeds = 8
 
-// ForEachSeedBlock partitions a batch of batchLen seeds into contiguous
-// groups of BlockSeeds (the last group may be shorter) and invokes
-// fn(lo, hi) for each group [lo, hi) on up to `workers` goroutines of the
-// shared internal/parallel pool. Group boundaries derive from batchLen and
-// BlockSeeds alone — never from the worker count — and every group touches
-// only its own seeds' value slots and per-worker scratch, so the repo's
-// determinism contract holds at any parallelism level. This is the fan-out
-// scaffold of the blocked BatchObjectives in matching/mis/lowdeg/sparsify.
-func ForEachSeedBlock(workers, batchLen int, fn func(lo, hi int)) {
-	if batchLen <= 0 {
-		return
+// Sink is one worker's objective state in a BlockSearch. For each group of
+// up to BlockSeeds candidates the driver calls Begin(seeds), fills in the
+// group's z values, and finally calls Value(s) for each seed s of the
+// group. How the z values arrive is the sink's choice, made per group by
+// what Begin returns:
+//
+//   - nil (a fold sink): Fold(s, lo, hi, z) for every key block in
+//     ascending order, z[i] being the hash of keys[lo+i] under the group's
+//     seed s, valid only during the call;
+//   - one row per seed, each at least len(keys) long (a row sink): the
+//     driver writes row[s][i] = hash of keys[i] straight into them and
+//     never calls Fold.
+//
+// A sink must derive its values from this group's z values alone (reset
+// per group in Begin), so results never depend on which worker held it
+// before.
+type Sink interface {
+	Begin(seeds int) (rows [][]uint64)
+	Fold(s, lo, hi int, z []uint64)
+	Value(s int) int64
+}
+
+// BlockSearch is the block-major seed-search driver shared by every batch
+// objective. A batch is split into contiguous groups of BlockSeeds seeds
+// (the last may be shorter); each group takes a pooled worker — a Sink plus
+// an evaluation tile — and makes ONE block-major pass over the key vector:
+// through hashfam.Evaluator.EvalSeedsBlockedFold for a fold sink, folding
+// every evaluated block into it while it is cache-resident, or through
+// EvalSeedsBlocked straight into a row sink's rows. Group boundaries derive from
+// the batch length and BlockSeeds alone, never from the worker count, and
+// each group writes only its own value slots, so results are bit-identical
+// at any worker count.
+type BlockSearch struct {
+	ev      *hashfam.Evaluator
+	workers int
+	pool    *scratch.PerWorker[*blockWorker]
+}
+
+type blockWorker struct {
+	sink Sink
+	tile hashfam.Tile
+}
+
+// NewBlockSearch returns a driver evaluating ev's family on up to workers
+// goroutines (the parallel.Workers convention), creating one sink per
+// worker with newSink. Sinks are reused across groups, batches and — when
+// the driver lives that long — rounds; newSink's sinks typically hold a
+// pointer to the objective's per-round state.
+func NewBlockSearch(ev *hashfam.Evaluator, workers int, newSink func() Sink) *BlockSearch {
+	return &BlockSearch{
+		ev:      ev,
+		workers: workers,
+		pool:    scratch.NewPerWorker(func() *blockWorker { return &blockWorker{sink: newSink()} }),
 	}
-	groups := (batchLen + BlockSeeds - 1) / BlockSeeds
-	parallel.RunShards(workers, groups, func(g int) {
-		lo := g * BlockSeeds
-		hi := lo + BlockSeeds
-		if hi > batchLen {
-			hi = batchLen
-		}
-		fn(lo, hi)
-	})
+}
+
+// Objective returns the BatchObjective scoring candidate seeds over keys:
+// values[i] is the sink's Value for seeds[i] after folding every block of
+// keys hashed under it.
+func (b *BlockSearch) Objective(keys []uint64) BatchObjective {
+	return func(seeds [][]uint64, values []int64) {
+		groups := (len(seeds) + BlockSeeds - 1) / BlockSeeds
+		parallel.RunShards(b.workers, groups, func(g int) {
+			lo := g * BlockSeeds
+			hi := min(lo+BlockSeeds, len(seeds))
+			w := b.pool.Get()
+			if rows := w.sink.Begin(hi - lo); rows != nil {
+				b.ev.EvalSeedsBlocked(seeds[lo:hi], keys, rows)
+			} else {
+				b.ev.EvalSeedsBlockedFold(seeds[lo:hi], keys, &w.tile, func(klo, khi int, z [][]uint64) {
+					for s := range hi - lo {
+						w.sink.Fold(s, klo, khi, z[s][:khi-klo])
+					}
+				})
+			}
+			for s := lo; s < hi; s++ {
+				values[s] = w.sink.Value(s - lo)
+			}
+			b.pool.Put(w)
+		})
+	}
 }
 
 // Options configure a search.
@@ -96,13 +153,6 @@ type Options struct {
 	Model *simcost.Model
 	// Label attributes charged rounds. Defaults to "condexp".
 	Label string
-	// Workers is the number of host workers evaluating candidate seeds
-	// within a batch on the shared internal/parallel pool, following the
-	// repo-wide convention of parallel.Workers: 0 (default) means one
-	// worker per logical CPU, 1 forces serial evaluation. The result is
-	// bit-identical at any worker count (the first qualifying seed in
-	// enumeration order is selected); only wall-clock time changes.
-	Workers int
 	// Done, when non-nil, is polled once per batch boundary — before each
 	// charged batch evaluation, never inside one — and a true return stops
 	// the scan: the search returns the best seed seen so far with
@@ -112,8 +162,9 @@ type Options struct {
 	Done func() bool
 	// OnBatch, when non-nil, receives one BatchStat per charged batch
 	// evaluation, synchronously from the search's coordinating goroutine and
-	// in enumeration order — batches are flushed serially regardless of
-	// Workers, so the stat stream is bit-identical at any worker count. It
+	// in enumeration order — batches are flushed serially whatever the
+	// objective's worker count, so the stat stream is bit-identical at any
+	// worker count. It
 	// is pure observation: the scan's selection rule, charges and results
 	// are unchanged, and a nil OnBatch costs nothing. This is the
 	// seed-batch-granular seam the observer API (core.RoundEvent.Batches)
@@ -180,25 +231,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// SearchAtLeast scans the family in its canonical enumeration order and
-// returns the first seed whose objective is at least threshold. If no seed
+// SearchAtLeastBatch scans the family in its canonical enumeration order,
+// evaluating candidates a whole batch at a time through obj, and returns
+// the first seed whose objective is at least threshold. If no seed
 // qualifies within MaxSeeds, the best seed seen is returned with
 // Found == false (callers treat that as "take the progress you got", which
-// keeps the outer algorithms unconditionally correct). It is
-// SearchAtLeastBatch with the per-seed objective fanned out over
-// Options.Workers; kernel callers pass their own BatchObjective instead.
-func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Options) (Result, error) {
-	opts.defaults()
-	return SearchAtLeastBatch(fam, func(seeds [][]uint64, values []int64) {
-		evalBatch(seeds, values, obj, opts.Workers)
-	}, threshold, opts)
-}
-
-// SearchAtLeastBatch is SearchAtLeast evaluating candidates a whole batch
-// at a time through obj. The selection rule is unchanged — the first seed
-// in enumeration order whose value meets the threshold — so a
-// BatchObjective that matches a scalar objective slot-for-slot yields
-// bit-identical results.
+// keeps the outer algorithms unconditionally correct).
 func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
@@ -299,69 +337,6 @@ func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64,
 	return best, nil
 }
 
-// SearchBest scans exactly maxSeeds seeds (or the whole family if smaller)
-// and returns the one with the maximum objective, ties broken by enumeration
-// order. It is the "voting" variant used where no a-priori threshold exists
-// (e.g. picking the stage seed that maximises removed edges in Section 5).
-func SearchBest(fam hashfam.Family, obj Objective, maxSeeds int, opts Options) (Result, error) {
-	opts.defaults()
-	return SearchBestBatch(fam, func(seeds [][]uint64, values []int64) {
-		evalBatch(seeds, values, obj, opts.Workers)
-	}, maxSeeds, opts)
-}
-
-// SearchBestBatch is SearchBest through a BatchObjective (see
-// SearchAtLeastBatch).
-func SearchBestBatch(fam hashfam.Family, obj BatchObjective, maxSeeds int, opts Options) (Result, error) {
-	opts.defaults()
-	if maxSeeds > 0 {
-		opts.MaxSeeds = maxSeeds
-	}
-	// A threshold above any achievable value forces a full scan of
-	// MaxSeeds; the best seed is tracked along the way.
-	res, err := SearchAtLeastBatch(fam, obj, 1<<62, opts)
-	if err != nil {
-		return res, err
-	}
-	res.Found = res.SeedsTried > 0 && !res.Canceled
-	return res, nil
-}
-
-// SpareWorkers returns the per-candidate worker budget available to a
-// BatchObjective that fans a batch of batchLen seeds over `workers` pool
-// slots: when the batch is at least as wide as the pool every candidate
-// evaluates serially (1), and when it is narrower — the tail batch of a
-// search, or a huge round with a tiny family — the leftover workers/batchLen
-// slots can shard the per-seed key vector instead
-// (hashfam.Evaluator.EvalKeysW). The returned count influences wall-clock
-// only, never results: EvalKeysW is byte-identical at any worker count, so
-// objectives stay inside the determinism contract.
-func SpareWorkers(workers, batchLen int) int {
-	if batchLen < 1 {
-		batchLen = 1
-	}
-	w := parallel.Workers(workers)
-	if w <= batchLen {
-		return 1
-	}
-	return w / batchLen
-}
-
-// evalBatch fills out[i] = obj(batch[i]) using up to `workers` goroutines of
-// the shared pool (0 = auto, per parallel.Workers). Each candidate writes
-// only its own slot, so the batch result is identical at any worker count.
-func evalBatch(batch [][]uint64, out []int64, obj Objective, workers int) {
-	if w := parallel.Workers(workers); w <= 1 || len(batch) < 4 {
-		for i, seed := range batch {
-			out[i] = obj(seed)
-		}
-		return
-	}
-	parallel.ForEach(workers, len(batch), func(i int) {
-		out[i] = obj(batch[i])
-	})
-}
-
 // SearchConditional runs the textbook method of conditional expectations:
 // fix the seed one field element at a time (one "chunk" of Θ(log p) bits,
 // matching the paper's Θ(log S)-bit chunks); for each candidate value of the
@@ -371,7 +346,7 @@ func evalBatch(batch [][]uint64, out []int64, obj Objective, workers int) {
 // q(seed) >= E_h[q(h)] by construction.
 //
 // Cost is Θ(p^k) objective evaluations, so this is only for small families;
-// it exists to validate SearchAtLeast against the real method (tests) and
+// it exists to validate SearchAtLeastBatch against the real method (tests) and
 // for the exact-derandomization experiment.
 func SearchConditional(fam hashfam.Family, obj Objective) ([]uint64, float64, error) {
 	k := fam.SeedLen()

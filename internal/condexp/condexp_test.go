@@ -22,6 +22,15 @@ func countBelow(fam hashfam.Family, points []uint64, t uint64) Objective {
 	}
 }
 
+// perSeed adapts a per-seed objective to the batch form, one seed at a time.
+func perSeed(obj Objective) BatchObjective {
+	return func(seeds [][]uint64, values []int64) {
+		for i, seed := range seeds {
+			values[i] = obj(seed)
+		}
+	}
+}
+
 func testPoints(n int, p uint64) []uint64 {
 	pts := make([]uint64, n)
 	for i := range pts {
@@ -36,7 +45,7 @@ func TestSearchAtLeastFindsMeanValueSeed(t *testing.T) {
 	th := hashfam.Threshold(fam.P(), 1, 2)
 	obj := countBelow(fam, points, th)
 	// Family mean = 40 * th / p ≈ 19.8, so some seed reaches >= 19.
-	res, err := SearchAtLeast(fam, obj, 19, Options{})
+	res, err := SearchAtLeastBatch(fam, perSeed(obj), 19, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,24 +57,32 @@ func TestSearchAtLeastFindsMeanValueSeed(t *testing.T) {
 	}
 }
 
+// TestSearchAtLeastDeterministic runs the same search through the
+// BlockSearch driver at several worker counts and through the per-seed
+// objective: all must select the same seed with the same value.
 func TestSearchAtLeastDeterministic(t *testing.T) {
 	fam := hashfam.New(211, 2)
 	points := testPoints(64, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 3))
-	run := func(workers int) Result {
-		res, err := SearchAtLeast(fam, obj, 20, Options{Workers: workers, BatchSize: 16})
+	th := hashfam.Threshold(fam.P(), 1, 3)
+	run := func(obj BatchObjective) Result {
+		res, err := SearchAtLeastBatch(fam, obj, 20, Options{BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b, c := run(1), run(1), run(8)
-	if a.Value != b.Value || a.Value != c.Value {
-		t.Fatalf("values differ: %d %d %d", a.Value, b.Value, c.Value)
+	driver := func(workers int) BatchObjective {
+		return NewBlockSearch(hashfam.NewEvaluator(fam), workers, func() Sink { return &countSink{th: th} }).Objective(points)
 	}
-	for i := range a.Seed {
-		if a.Seed[i] != b.Seed[i] || a.Seed[i] != c.Seed[i] {
-			t.Fatalf("seeds differ: %v %v %v", a.Seed, b.Seed, c.Seed)
+	ref := run(perSeed(countBelow(fam, points, th)))
+	for _, got := range []Result{run(driver(1)), run(driver(1)), run(driver(8))} {
+		if got.Value != ref.Value || got.SeedsTried != ref.SeedsTried {
+			t.Fatalf("value %d after %d seeds, per-seed reference %d after %d", got.Value, got.SeedsTried, ref.Value, ref.SeedsTried)
+		}
+		for i := range ref.Seed {
+			if got.Seed[i] != ref.Seed[i] {
+				t.Fatalf("seed %v, per-seed reference %v", got.Seed, ref.Seed)
+			}
 		}
 	}
 }
@@ -74,7 +91,7 @@ func TestSearchAtLeastUnreachableThresholdReturnsBest(t *testing.T) {
 	fam := hashfam.New(17, 2)
 	points := testPoints(10, fam.P())
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{MaxSeeds: 100})
+	res, err := SearchAtLeastBatch(fam, perSeed(obj), 1<<40, Options{MaxSeeds: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,34 +113,12 @@ func TestSearchAtLeastUnreachableThresholdReturnsBest(t *testing.T) {
 	}
 }
 
-func TestSearchBestMaximises(t *testing.T) {
-	fam := hashfam.New(13, 2)
-	points := testPoints(8, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
-	numSeeds, _ := fam.NumSeeds()
-	res, err := SearchBest(fam, obj, int(numSeeds), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exhaustive check.
-	e := fam.Enumerate()
-	bestVal := int64(-1)
-	for e.Next() {
-		if v := obj(e.Seed()); v > bestVal {
-			bestVal = v
-		}
-	}
-	if res.Value != bestVal {
-		t.Errorf("SearchBest value %d, exhaustive best %d", res.Value, bestVal)
-	}
-}
-
 func TestBatchAccountingAgainstModel(t *testing.T) {
 	fam := hashfam.New(1009, 2)
 	points := testPoints(100, fam.P())
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
 	model := simcost.New(1<<12, 1<<13, 0.5) // S = 64
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{Model: model, MaxSeeds: 300, Label: "test"})
+	res, err := SearchAtLeastBatch(fam, perSeed(obj), 1<<40, Options{Model: model, MaxSeeds: 300, Label: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +177,7 @@ func TestSearchConditionalMatchesSearchAtLeast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := SearchAtLeast(fam, obj, int64(mean), Options{})
+	scan, err := SearchAtLeastBatch(fam, perSeed(obj), int64(mean), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +217,7 @@ func TestEmptyFamilyImpossible(t *testing.T) {
 	// via MaxSeeds smaller than 1 is not possible (defaults). Instead verify
 	// the scan handles a tiny family without error.
 	fam := hashfam.New(2, 1)
-	res, err := SearchAtLeast(fam, func([]uint64) int64 { return 1 }, 1, Options{})
+	res, err := SearchAtLeastBatch(fam, perSeed(func([]uint64) int64 { return 1 }), 1, Options{})
 	if err != nil || !res.Found {
 		t.Errorf("tiny family scan failed: %+v, %v", res, err)
 	}
@@ -231,9 +226,10 @@ func TestEmptyFamilyImpossible(t *testing.T) {
 func BenchmarkSearchAtLeast(b *testing.B) {
 	fam := hashfam.New(1<<20, 2)
 	points := testPoints(1000, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
+	th := hashfam.Threshold(fam.P(), 1, 2)
+	obj := NewBlockSearch(hashfam.NewEvaluator(fam), 8, func() Sink { return &countSink{th: th} }).Objective(points)
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchAtLeast(fam, obj, 480, Options{BatchSize: 64, Workers: 8}); err != nil {
+		if _, err := SearchAtLeastBatch(fam, obj, 480, Options{BatchSize: 64}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +245,7 @@ func TestSearchAtLeastDoneStopsAtBatchBoundary(t *testing.T) {
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
 
 	// Done firing from the start: no batch ever evaluates.
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{
+	res, err := SearchAtLeastBatch(fam, perSeed(obj), 1<<40, Options{
 		BatchSize: 8,
 		Done:      func() bool { return true },
 	})
@@ -263,7 +259,7 @@ func TestSearchAtLeastDoneStopsAtBatchBoundary(t *testing.T) {
 	// Done firing after the second poll: exactly the batches before it
 	// evaluated, and SeedsTried counts only evaluated seeds.
 	polls := 0
-	res, err = SearchAtLeast(fam, obj, 1<<40, Options{
+	res, err = SearchAtLeastBatch(fam, perSeed(obj), 1<<40, Options{
 		BatchSize: 8,
 		MaxSeeds:  64,
 		Done: func() bool {
@@ -285,11 +281,11 @@ func TestSearchAtLeastDoneStopsAtBatchBoundary(t *testing.T) {
 	}
 
 	// A Done that never fires changes nothing versus no Done at all.
-	ref, err := SearchAtLeast(fam, obj, 19, Options{BatchSize: 8})
+	ref, err := SearchAtLeastBatch(fam, perSeed(obj), 19, Options{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SearchAtLeast(fam, obj, 19, Options{BatchSize: 8, Done: func() bool { return false }})
+	got, err := SearchAtLeastBatch(fam, perSeed(obj), 19, Options{BatchSize: 8, Done: func() bool { return false }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,15 +303,17 @@ func TestSearchAtLeastDoneStopsAtBatchBoundary(t *testing.T) {
 // charged batch, in enumeration order, with exact cumulative counts, a
 // best-value trajectory matching the scan, and the Found flag on the final
 // batch exactly when the search succeeded. The stream must not perturb the
-// search result and must be identical at any worker count.
+// search result and must be identical at any worker count of the
+// BlockSearch driver evaluating the batches.
 func TestOnBatchStats(t *testing.T) {
 	fam := hashfam.New(101, 2)
 	points := testPoints(40, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
+	th := hashfam.Threshold(fam.P(), 1, 2)
+	obj := countBelow(fam, points, th)
 
 	var plain Result
 	{
-		res, err := SearchAtLeast(fam, obj, 19, Options{BatchSize: 16})
+		res, err := SearchAtLeastBatch(fam, perSeed(obj), 19, Options{BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,9 +322,9 @@ func TestOnBatchStats(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		var stats []BatchStat
-		res, err := SearchAtLeast(fam, obj, 19, Options{
+		driver := NewBlockSearch(hashfam.NewEvaluator(fam), workers, func() Sink { return &countSink{th: th} })
+		res, err := SearchAtLeastBatch(fam, driver.Objective(points), 19, Options{
 			BatchSize: 16,
-			Workers:   workers,
 			OnBatch:   func(bs BatchStat) { stats = append(stats, bs) },
 		})
 		if err != nil {
@@ -373,7 +371,7 @@ func TestOnBatchModelAgreement(t *testing.T) {
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 3))
 	model := simcost.New(64, 128, 0.5)
 	var stats []BatchStat
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{ // unreachable: full scan
+	res, err := SearchAtLeastBatch(fam, perSeed(obj), 1<<40, Options{ // unreachable: full scan
 		BatchSize: 8,
 		MaxSeeds:  64,
 		Model:     model,

@@ -1,11 +1,12 @@
 // Package core holds the shared vocabulary of the paper's algorithms: the
 // parameter set (ε, δ = ε/8, concentration slack, search thresholds), the
-// degree-class partition C_1, …, C_{1/δ} of Section 3, the good-node sets X
-// (matching) and A (MIS) from Luby's analysis, and the deterministic
+// degree-class partition C_1, …, C_{1/δ} of Section 3, the good-node set X
+// (matching) from Luby's analysis, and the deterministic
 // local-minimum selection rules shared by the matching and MIS steps.
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -48,14 +49,6 @@ type Params struct {
 	// values pin an explicit worker count. Results are bit-identical at any
 	// setting (the determinism contract; see internal/parallel).
 	Parallelism int
-	// ScalarObjectives routes every seed-search objective through the
-	// pre-kernel per-item closure evaluation (hashfam.Family.Eval once per
-	// key per seed) instead of the batched Evaluator kernel. The two paths
-	// are bit-identical by construction — the kernel is a speed change only
-	// — and this flag exists so the equivalence tables in
-	// parallel_determinism_test.go can prove that end to end. Never set it
-	// in production code.
-	ScalarObjectives bool
 	// Done, when non-nil, reports whether the enclosing request has been
 	// abandoned (context canceled, deadline exceeded). The round loops poll
 	// it ONLY at round boundaries and between condexp seed batches — never
@@ -152,18 +145,6 @@ func (p Params) Emit(ev RoundEvent) {
 // Workers resolves Parallelism to a concrete worker count.
 func (p Params) Workers() int { return parallel.Workers(p.Parallelism) }
 
-// EffectiveParallelism resolves the public (Serial, Parallelism) option pair
-// to the single Parallelism value used internally: Serial wins when set.
-// This is the ONLY place that precedence is decided — the root package's
-// Options.params() and Engine both funnel through it, so the two knobs can
-// never disagree between layers.
-func EffectiveParallelism(serial bool, parallelism int) int {
-	if serial {
-		return 1
-	}
-	return parallelism
-}
-
 // DefaultParams returns the parameterisation used throughout the experiment
 // suite: ε = 0.5 (S = √n), δ = 1/16, 4-wise independence, slack 4,
 // half-expectation thresholds.
@@ -180,32 +161,46 @@ func DefaultParams() Params {
 }
 
 // WithEpsilon returns params with Epsilon = eps and InvDelta = ceil(8/eps),
-// the paper's δ = ε/8 coupling.
+// the paper's δ = ε/8 coupling. It does not validate: Check rejects an eps
+// outside (0, 1], and one so small that 1/δ reaches SlotMax (InvDelta is
+// capped at MaxInt32 so a tiny eps cannot overflow it).
 func (p Params) WithEpsilon(eps float64) Params {
-	if eps <= 0 || eps > 1 {
-		panic("core: epsilon must be in (0, 1]")
-	}
 	p.Epsilon = eps
-	p.InvDelta = int(math.Ceil(8 / eps))
+	if eps > 0 {
+		p.InvDelta = int(math.Min(math.Ceil(8/eps), math.MaxInt32))
+	}
 	return p
 }
 
 // Delta returns δ = 1/InvDelta.
 func (p Params) Delta() float64 { return 1 / float64(p.InvDelta) }
 
+// Check reports the first nonsensical parameter, or nil. It is the single
+// definition of a valid parameter set: the public API maps its error to
+// repro.ErrInvalidOptions, and Validate panics on it for internal callers.
+// NaN fails every range check.
+func (p Params) Check() error {
+	switch {
+	case !(p.Epsilon > 0 && p.Epsilon <= 1):
+		return fmt.Errorf("epsilon %v outside (0, 1]", p.Epsilon)
+	case p.InvDelta < 1 || p.InvDelta >= SlotMax:
+		return fmt.Errorf("1/delta = %d outside [1, %d): epsilon %v too small", p.InvDelta, SlotMax, p.Epsilon)
+	case p.KWise < 2:
+		return fmt.Errorf("kwise %d < 2", p.KWise)
+	case !(p.Slack > 0):
+		return fmt.Errorf("slack %v <= 0", p.Slack)
+	case !(p.ThresholdFrac > 0 && p.ThresholdFrac <= 1):
+		return fmt.Errorf("threshold_frac %v outside (0, 1]", p.ThresholdFrac)
+	case p.Parallelism < 0:
+		return fmt.Errorf("parallelism %d < 0", p.Parallelism)
+	}
+	return nil
+}
+
 // Validate panics on nonsensical parameters (programmer error).
 func (p Params) Validate() {
-	switch {
-	case p.Epsilon <= 0 || p.Epsilon > 1:
-		panic("core: Epsilon out of range")
-	case p.InvDelta < 1 || p.InvDelta >= SlotMax:
-		panic("core: InvDelta outside [1, SlotMax)")
-	case p.KWise < 2:
-		panic("core: KWise < 2")
-	case p.Slack <= 0:
-		panic("core: Slack <= 0")
-	case p.ThresholdFrac <= 0 || p.ThresholdFrac > 1:
-		panic("core: ThresholdFrac out of (0,1]")
+	if err := p.Check(); err != nil {
+		panic("core: " + err.Error())
 	}
 }
 
@@ -316,22 +311,12 @@ func (c *DegreeClasses) DevTerm(ex int) float64 {
 	return n01d * math.Sqrt(float64(ex))
 }
 
-// ComputeX returns the good-node indicator of Luby's matching analysis
-// (Lemma 3): v ∈ X iff at least d(v)/3 neighbours u have d(u) <= d(v).
-// deg must be the degree slice of g. It runs at the pool's automatic worker
-// count (one per CPU); use ComputeXW to pin one.
-func ComputeX(g *graph.Graph, deg []int) []bool { return ComputeXW(g, deg, 0) }
-
-// ComputeXW is ComputeX sharded over vertex ranges on up to `workers` host
-// workers; each vertex's indicator is independent, so the result is
-// identical at any worker count.
-func ComputeXW(g *graph.Graph, deg []int, workers int) []bool {
-	return ComputeXInto(make([]bool, g.N()), g, deg, workers)
-}
-
-// ComputeXInto is ComputeXW writing into dst (length N) instead of
-// allocating. Every slot is assigned, so a dirty destination cannot leak
-// into the result.
+// ComputeXInto writes the good-node indicator of Luby's matching analysis
+// (Lemma 3) into dst (length N): v ∈ X iff at least d(v)/3 neighbours u
+// have d(u) <= d(v). deg must be the degree slice of g. It is sharded over
+// vertex ranges on up to `workers` host workers; each vertex's indicator is
+// independent, and every slot is assigned, so neither the worker count nor
+// a dirty destination can reach the result.
 func ComputeXInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
 	if len(dst) != g.N() {
 		panic("core: ComputeXInto length mismatch")
@@ -365,40 +350,6 @@ func XWeight(x []bool, deg []int) int64 {
 	return w
 }
 
-// ComputeA returns the MIS good-node indicator (Corollary 15): v ∈ A iff
-// Σ_{u∼v} 1/d(u) >= 1/3. It runs at the pool's automatic worker count; use
-// ComputeAW to pin one.
-func ComputeA(g *graph.Graph, deg []int) []bool { return ComputeAW(g, deg, 0) }
-
-// ComputeAW is ComputeA sharded over vertex ranges on up to `workers` host
-// workers. Each vertex's reciprocal-degree sum is accumulated left-to-right
-// over its own (fixed) neighbour list, so the floating-point result is
-// bit-identical at any worker count.
-func ComputeAW(g *graph.Graph, deg []int, workers int) []bool {
-	return ComputeAInto(make([]bool, g.N()), g, deg, workers)
-}
-
-// ComputeAInto is ComputeAW writing into dst (length N) instead of
-// allocating. Every slot is assigned, so a dirty destination cannot leak
-// into the result.
-func ComputeAInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
-	if len(dst) != g.N() {
-		panic("core: ComputeAInto length mismatch")
-	}
-	parallel.ForEach(workers, g.N(), func(v int) {
-		if deg[v] == 0 {
-			dst[v] = false
-			return
-		}
-		var sum float64
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			sum += 1 / float64(deg[u])
-		}
-		dst[v] = sum >= 1.0/3-1e-12
-	})
-	return dst
-}
-
 // ZKey orders candidates deterministically by (hash value, id): the paper's
 // "z_v < z_u" comparisons with the measure-zero ties broken by id so that
 // candidate sets are well defined at any scale.
@@ -416,8 +367,8 @@ func (a ZKey) Less(b ZKey) bool {
 }
 
 // EdgeMinScratch is the reusable working state of the edge selections: the
-// epoch-stamped per-node minimum tables, the per-edge key buffer, a z buffer
-// for the closure wrapper, and the output buffer. Seed searches evaluate the
+// epoch-stamped per-node minimum tables, the per-edge key buffer, and the
+// output buffer. Seed searches evaluate the
 // selection once per candidate seed, so pooling this state (one per worker,
 // see scratch.PerWorker) removes the dominant per-seed allocations of the
 // matching path. The zero value is ready to use.
@@ -442,7 +393,6 @@ type EdgeMinScratch struct {
 	epoch uint32
 	keys  []ZKey
 	pkeys []uint64
-	zbuf  []uint64
 	sel   EdgeSel // wrapper-owned per-call plan of LocalMinEdgesZ
 	out   []graph.Edge
 }
@@ -496,8 +446,9 @@ type EdgeSel struct {
 // selection (EdgeFold): the packed endpoint representation must be exact
 // under the round's zMax with the all-ones sentinel unreachable, and the
 // round must be dense (n <= 4|edges|) so the per-seed flat table wipe is
-// cheaper than the epoch bookkeeping it replaces. Sparse or unpackable
-// rounds keep the two-pass epoch-stamped LocalMinEdgesSel.
+// cheaper than the epoch bookkeeping it replaces. EdgeSink runs sparse or
+// unpackable rounds through full z rows and the epoch-stamped
+// LocalMinEdgesSel instead.
 func (sel *EdgeSel) Fold() bool { return sel.fold }
 
 // EdgeSelInit fills sel for one round: edges is the round's canonical edge
@@ -557,23 +508,15 @@ func packedEdgeBits(n int, z []uint64) (idBits uint, ok bool) {
 // LocalMinEdges returns the candidate matching E_h of Section 3.3: the edges
 // of estar whose (z, key) is strictly smaller than every adjacent edge's.
 // zOf supplies z values (typically a bound hash function); edges is the
-// canonical edge list of estar. The result is always a matching.
+// canonical edge list of estar. The result is always a matching. It is the
+// closure form of LocalMinEdgesZ for cold callers without a precomputed z
+// vector.
 func LocalMinEdges(estar *graph.Graph, edges []graph.Edge, zOf func(graph.Edge) uint64) []graph.Edge {
-	return LocalMinEdgesInto(new(EdgeMinScratch), estar, edges, zOf)
-}
-
-// LocalMinEdgesInto is LocalMinEdges drawing all working state from s: the
-// closure-based wrapper over LocalMinEdgesZ, kept for callers without a
-// precomputed z vector (the hot seed searches precompute one and call the Z
-// form directly). The returned slice aliases s.out and is valid until the
-// next call with the same scratch.
-func LocalMinEdgesInto(s *EdgeMinScratch, estar *graph.Graph, edges []graph.Edge, zOf func(graph.Edge) uint64) []graph.Edge {
-	s.zbuf = graph.Grow(s.zbuf, len(edges))
-	z := s.zbuf[:len(edges)]
+	z := make([]uint64, len(edges))
 	for idx, e := range edges {
 		z[idx] = zOf(e)
 	}
-	return LocalMinEdgesZ(s, estar, edges, z)
+	return LocalMinEdgesZ(new(EdgeMinScratch), estar, edges, z)
 }
 
 // LocalMinEdgesZ is the kernel form of the Section 3.3 selection: z[idx] is
@@ -730,17 +673,10 @@ func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge 
 
 // LocalMinNodes returns the candidate independent set I_h of Section 4.3:
 // nodes of q (restricted to inQ) whose (z, id) is strictly smaller than
-// every q-neighbour's. The result is always independent in q.
+// every q-neighbour's. The result is always independent in q. It is the
+// closure form for cold callers; the seed searches precompute z vectors.
 func LocalMinNodes(q *graph.Graph, inQ []bool, zOf func(graph.NodeID) uint64) []graph.NodeID {
-	return LocalMinNodesInto(nil, q, inQ, zOf)
-}
-
-// LocalMinNodesInto is LocalMinNodes appending into dst[:0] (nil allocates),
-// for per-seed buffer reuse in the objective evaluations. It is the
-// closure-based wrapper kept for callers without a precomputed z vector;
-// the hot seed searches precompute one and call LocalMinNodesZ.
-func LocalMinNodesInto(dst []graph.NodeID, q *graph.Graph, inQ []bool, zOf func(graph.NodeID) uint64) []graph.NodeID {
-	out := dst[:0]
+	var out []graph.NodeID
 	for v := 0; v < q.N(); v++ {
 		if !inQ[v] {
 			continue
@@ -768,7 +704,7 @@ func LocalMinNodesInto(dst []graph.NodeID, q *graph.Graph, inQ []bool, zOf func(
 // the precomputed hash value of node v (one hashfam.Evaluator.EvalKeys pass
 // over a NodeSlotKeysInto vector), so each node's z is read once per
 // incidence instead of re-evaluated through a closure. Results are
-// bit-identical to LocalMinNodesInto with zOf(v) == z[v].
+// bit-identical to LocalMinNodes with zOf(v) == z[v].
 func LocalMinNodesZ(dst []graph.NodeID, q *graph.Graph, inQ []bool, z []uint64) []graph.NodeID {
 	n := q.N()
 	if len(z) < n {
@@ -936,7 +872,7 @@ func (sel *NodeSel) finish(n int, zMax uint64) {
 }
 
 // Dense reports whether this round qualifies for the flat-table selection
-// (NodeFold + LocalMinNodesSelIn's dense branch): the round's packed keys
+// (NodeFold, see NodeSink): the round's packed keys
 // must stay strictly below the all-ones "dead slot" sentinel, and the live
 // set must be dense in the id space (n <= 4|live|) so wiping a full table
 // once per round beats stamp checks on every neighbour probe. Sparse rounds
@@ -1105,25 +1041,49 @@ func NodeFoldSelect(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, tab []uint
 	return out[:cnt]
 }
 
-// LocalMinNodesSelIn is LocalMinNodesSel with a caller-owned NodeFold: dense
-// rounds (sel.Dense()) scatter the full z vector into a flat table and run
-// the single-word-probe scan, sparse rounds fall through to the
-// epoch-stamped path. Results are bit-identical either way — the
-// dense/stamped/eager equivalence table in core's tests pins it — so the
-// objectives route every full-vector selection through here and let the
-// plan pick the discipline per round.
-//
-//det:hotpath
-func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint64) []graph.NodeID {
-	if !sel.dense {
-		return LocalMinNodesSel(dst, q, sel, z)
+// NodeSink is the selection half of a node objective's seed-search sink
+// (condexp.Sink): it collects each candidate seed's z values and runs the
+// Section 4.3 selection on them. Dense rounds (Sel.Dense()) fold: every
+// key block is scattered straight into flat per-seed NodeFold tables while
+// cache-resident. Sparse rounds hand the driver full-length rows to fill
+// for the epoch-stamped LocalMinNodesSel. Both select the same set bit for
+// bit. An objective's sink embeds a NodeSink bound to its
+// per-solve plan and adds Value; a NodeSink belongs to one worker at a
+// time.
+type NodeSink struct {
+	Sel  *NodeSel
+	fold NodeFold
+	rows hashfam.Tile
+	z    [][]uint64 // the current group's tables (dense) or rows (sparse)
+	out  []graph.NodeID
+}
+
+// Begin starts a group of s seeds: nil on dense rounds, which fold,
+// otherwise one row per seed over the live set for the driver to fill.
+func (k *NodeSink) Begin(s int) [][]uint64 {
+	if k.Sel.dense {
+		k.z = k.fold.Tables(k.Sel, s)
+		return nil
 	}
-	if len(z) < len(sel.live) {
-		panic("core: LocalMinNodesSelIn z vector shorter than live set")
+	k.z = k.rows.Rows(s, len(k.Sel.live))
+	return k.z
+}
+
+// Fold absorbs z values of live candidates lo..hi-1 under seed s (dense
+// rounds only).
+func (k *NodeSink) Fold(s, lo, hi int, z []uint64) {
+	NodeFoldScatter(k.z[s], k.Sel, lo, hi, z)
+}
+
+// Select returns I_h over q for seed s of the group once every block is
+// folded, valid until the next Select.
+func (k *NodeSink) Select(q *graph.Graph, s int) []graph.NodeID {
+	if k.Sel.dense {
+		k.out = NodeFoldSelect(k.out, q, k.Sel, k.z[s])
+	} else {
+		k.out = LocalMinNodesSel(k.out, q, k.Sel, k.z[s])
 	}
-	tab := f.Tables(sel, 1)[0]
-	NodeFoldScatter(tab, sel, 0, len(sel.live), z)
-	return NodeFoldSelect(dst, q, sel, tab)
+	return k.out
 }
 
 // EdgeFold is the per-worker flat-table scratch of the fused edge selection:
@@ -1222,6 +1182,46 @@ func EdgeFoldDecode(dst []graph.Edge, tab []uint64, sel *EdgeSel) []graph.Edge {
 		}
 	}
 	return out
+}
+
+// EdgeSink is NodeSink for the Section 3.3 edge selection: rounds that
+// qualify for the fold (Sel.Fold()) min-merge every block into per-seed
+// EdgeFold tables and decode the matching from them, the others hand the
+// driver full-length rows to fill for LocalMinEdgesSel. Both select the
+// same matching bit for bit.
+type EdgeSink struct {
+	Sel  *EdgeSel
+	fold EdgeFold
+	rows hashfam.Tile
+	z    [][]uint64 // the current group's tables (fold) or rows
+	lm   EdgeMinScratch
+	out  []graph.Edge
+}
+
+// Begin starts a group of s seeds: nil on rounds that fold, otherwise one
+// row per seed over the edge list for the driver to fill.
+func (k *EdgeSink) Begin(s int) [][]uint64 {
+	if k.Sel.fold {
+		k.z = k.fold.Begin(k.Sel, s)
+		return nil
+	}
+	k.z = k.rows.Rows(s, len(k.Sel.edges))
+	return k.z
+}
+
+// Fold absorbs z values of edges lo..hi-1 under seed s (fold rounds only).
+func (k *EdgeSink) Fold(s, lo, hi int, z []uint64) {
+	EdgeFoldScatter(k.z[s], k.Sel, lo, hi, z)
+}
+
+// Select returns E_h for seed s of the group once every block is folded,
+// valid until the next Select.
+func (k *EdgeSink) Select(s int) []graph.Edge {
+	if k.Sel.fold {
+		k.out = EdgeFoldDecode(k.out, k.z[s], k.Sel)
+		return k.out
+	}
+	return LocalMinEdgesSel(&k.lm, k.Sel, k.z[s])
 }
 
 // SlotMax is the number of domain-separation slots in the hash input space

@@ -21,12 +21,24 @@ func TestWithEpsilon(t *testing.T) {
 		t.Errorf("InvDelta = %d, want 32", p.InvDelta)
 	}
 	p.Validate()
+	// WithEpsilon does not validate; Check is the one rule set. 1/δ must
+	// stay below SlotMax, which puts the smallest valid epsilon at 8/63.
+	for _, eps := range []float64{0, -1, 1.5, 0.12, 0.1, 1e-9, 1e-300} {
+		if err := DefaultParams().WithEpsilon(eps).Check(); err == nil {
+			t.Errorf("WithEpsilon(%v) passed Check", eps)
+		}
+	}
+	for _, eps := range []float64{0.13, 1} {
+		if err := DefaultParams().WithEpsilon(eps).Check(); err != nil {
+			t.Errorf("WithEpsilon(%v): %v", eps, err)
+		}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("WithEpsilon(0) did not panic")
+			t.Error("Validate after WithEpsilon(0) did not panic")
 		}
 	}()
-	DefaultParams().WithEpsilon(0)
+	DefaultParams().WithEpsilon(0).Validate()
 }
 
 func TestValidateCatchesBadParams(t *testing.T) {
@@ -121,7 +133,7 @@ func TestComputeXCompleteGraph(t *testing.T) {
 	// In K_n all degrees are equal, so every node has d(v) neighbours with
 	// d(u) <= d(v): X = V.
 	g := gen.Complete(10)
-	x := ComputeX(g, g.Degrees())
+	x := ComputeXInto(make([]bool, g.N()), g, g.Degrees(), 0)
 	for v, in := range x {
 		if !in {
 			t.Errorf("node %d of K10 not in X", v)
@@ -134,7 +146,7 @@ func TestComputeXStar(t *testing.T) {
 	// degree, so leaves are NOT in X; the centre has all n-1 neighbours with
 	// smaller degree, so it is.
 	g := gen.Star(10)
-	x := ComputeX(g, g.Degrees())
+	x := ComputeXInto(make([]bool, g.N()), g, g.Degrees(), 0)
 	if !x[0] {
 		t.Error("star centre not in X")
 	}
@@ -156,34 +168,9 @@ func TestXWeightLemma3(t *testing.T) {
 		gen.Grid2D(15, 20),
 	} {
 		deg := g.Degrees()
-		x := ComputeX(g, deg)
+		x := ComputeXInto(make([]bool, g.N()), g, deg, 0)
 		if w := XWeight(x, deg); w < int64(g.M())/2 {
 			t.Errorf("%v: XWeight %d < m/2 = %d", g, w, g.M()/2)
-		}
-	}
-}
-
-func TestComputeACorollary15(t *testing.T) {
-	// Corollary 15: Σ_{v∈A} d(v) >= |E|/2. Also X ⊆ A.
-	for _, g := range []*graph.Graph{
-		gen.GNM(300, 2000, 3),
-		gen.Star(50),
-		gen.Grid2D(10, 10),
-	} {
-		deg := g.Degrees()
-		a := ComputeA(g, deg)
-		x := ComputeX(g, deg)
-		var w int64
-		for v, in := range a {
-			if in {
-				w += int64(deg[v])
-			}
-			if x[v] && !in {
-				t.Errorf("%v: node %d in X but not A", g, v)
-			}
-		}
-		if w < int64(g.M())/2 {
-			t.Errorf("%v: A-weight %d < m/2", g, w)
 		}
 	}
 }

@@ -20,12 +20,24 @@ func nodeZ(live []graph.NodeID) []uint64 {
 	return z
 }
 
+// sinkSelect runs one full-vector selection through a NodeSink, the way the
+// seed-search driver handles a one-seed group: z fills the row a sparse
+// round asks for, or is folded as a single block on a dense one.
+func sinkSelect(k *NodeSink, q *graph.Graph, z []uint64) []graph.NodeID {
+	if rows := k.Begin(1); rows != nil {
+		copy(rows[0], z)
+	} else {
+		k.Fold(0, 0, len(z), z)
+	}
+	return k.Select(q, 0)
+}
+
 // TestLocalMinNodesSelBranchEquivalence pins the four selection variants of
 // the per-round node plan to one answer: the dense flat-table path
-// (LocalMinNodesSelIn over a NodeFold: round-wiped tables, single-word
-// probes), the epoch-stamped packed scan (LocalMinNodesSel), the unpacked
-// ZKey fallback (z values too wide to pack), and the eager closure reference
-// (LocalMinNodesInto). The (z, id) order is identical under every variant,
+// (NodeSink over a NodeFold: round-wiped tables, single-word probes), the
+// epoch-stamped packed scan (LocalMinNodesSel), the unpacked ZKey fallback
+// (z values too wide to pack), and the eager closure reference
+// (LocalMinNodes). The (z, id) order is identical under every variant,
 // so the selected sets must match node for node — over a full live set and
 // over a half-density subset whose dead slots exercise the fold sentinel.
 func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
@@ -53,10 +65,10 @@ func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
 			zOf[v] = z[i]
 		}
 
-		eager := LocalMinNodesInto(nil, g, inQ, func(v graph.NodeID) uint64 { return zOf[v] })
+		eager := LocalMinNodes(g, inQ, func(v graph.NodeID) uint64 { return zOf[v] })
 		stamped := append([]graph.NodeID(nil), LocalMinNodesSel(nil, g, &sel, z)...)
-		var nf NodeFold
-		dense := append([]graph.NodeID(nil), LocalMinNodesSelIn(&nf, nil, g, &sel, z)...)
+		nf := NodeSink{Sel: &sel}
+		dense := append([]graph.NodeID(nil), sinkSelect(&nf, g, z)...)
 
 		var selU NodeSel
 		selU.Init(n, inQ, func(v graph.NodeID) uint64 { return uint64(v) }, ^uint64(0))
@@ -89,7 +101,7 @@ func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
 			z2[i] = (uint64(len(z)-i)*40503 + 5) % 997
 		}
 		want2 := LocalMinNodesSel(nil, g, &sel, z2)
-		got2 := LocalMinNodesSelIn(&nf, nil, g, &sel, z2)
+		got2 := sinkSelect(&nf, g, z2)
 		if len(got2) != len(want2) {
 			t.Fatalf("%s: reused fold selected %d nodes, stamped %d", tc.name, len(got2), len(want2))
 		}
@@ -274,7 +286,7 @@ func FuzzLocalMinNodesFoldMatchesSel(f *testing.F) {
 			return x
 		}
 		var sel NodeSel
-		var nf NodeFold
+		nf := NodeSink{Sel: &sel}
 		for round := 0; round < 2; round++ {
 			inQ := make([]bool, g.N())
 			for v := range inQ {
@@ -290,7 +302,7 @@ func FuzzLocalMinNodesFoldMatchesSel(f *testing.F) {
 				}
 			}
 			want := LocalMinNodesSel(nil, g, &sel, z)
-			got := LocalMinNodesSelIn(&nf, nil, g, &sel, z)
+			got := sinkSelect(&nf, g, z)
 			if len(got) != len(want) {
 				t.Fatalf("round %d (dense=%v): fold selected %d, stamped %d", round, sel.Dense(), len(got), len(want))
 			}

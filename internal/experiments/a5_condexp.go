@@ -70,7 +70,12 @@ func RunA5(cfg Config) []*tablefmt.Table {
 		}
 		// ceil(mean): the integral objective must reach the next integer to
 		// be ">= mean" (plain int64 truncation would under-demand).
-		scan, err := condexp.SearchAtLeast(fam, obj, int64(math.Ceil(mean-1e-9)), condexp.Options{})
+		batch := func(seeds [][]uint64, values []int64) {
+			for i, seed := range seeds {
+				values[i] = obj(seed)
+			}
+		}
+		scan, err := condexp.SearchAtLeastBatch(fam, batch, int64(math.Ceil(mean-1e-9)), condexp.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -102,57 +102,107 @@ func (e *Evaluator) evalReduced(c, keys, out []uint64) {
 	}
 }
 
-// BlockKeyGrain is the key-block size of EvalSeedsBlocked and
-// EvalSeedsBlockedFold: 512 keys = 4KB, comfortably inside L1 alongside one
-// output row, so every seed after the first reads the block from cache
-// instead of re-streaming the key vector from memory. Block boundaries
-// derive from len(keys) and this constant alone, and each output element
-// depends only on its own key and seed, so blocking is unobservable in the
-// results. It is exported so fold callers can size their tile rows to one
-// block (min(BlockKeyGrain, len(keys))) instead of the full key vector.
-const BlockKeyGrain = 512
+// blockKeyGrain is the key-block size of the block-major kernels: 512 keys
+// = 4KB, comfortably inside L1 alongside one output row, so every seed
+// after the first reads the block from cache instead of re-streaming the key
+// vector from memory. Block boundaries derive from len(keys) and this
+// constant alone, and each output element depends only on its own key and
+// seed, so blocking is unobservable in the results.
+const blockKeyGrain = 512
 
-const blockedKeyGrain = BlockKeyGrain
+// Tile is the reusable S×n output surface of the block-major kernel: S rows
+// sharing ONE backing slab, so a warm tile costs zero allocations no matter
+// how many rows a seed group asks for. EvalSeedsBlockedFold shapes it to one
+// key block per seed; callers that need full-length rows (the row sinks of
+// the sparse selection rounds) shape it with Rows. The zero value is ready
+// to use; a Tile belongs to one worker at a time.
+type Tile struct {
+	buf  []uint64
+	rows [][]uint64
+}
 
-// EvalSeedsBlocked writes out[s][i] = h_seeds[s](keys[i]) for every seed and
-// key: the block-major multi-seed kernel of the batched seed searches. Where
-// EvalKeys is seed-major (one seed re-streams the whole key vector), this
-// walks the key vector once in cache-resident blocks of blockedKeyGrain and
-// evaluates all S candidate seeds against each block before advancing —
-// the memory traffic of one pass, amortised over the batch. Pairwise
-// (k = 2) families additionally run four seeds per inner loop through
+// Rows returns s row slices of n elements each, growing the backing slab and
+// row headers only when the requested shape exceeds every prior request.
+// Rows are disjoint views of one allocation (each capped at its own extent,
+// so an append cannot bleed into the next row); contents are whatever the
+// last user left — callers must fully overwrite.
+func (t *Tile) Rows(s, n int) [][]uint64 {
+	if need := s * n; cap(t.buf) < need {
+		t.buf = make([]uint64, need)
+	}
+	buf := t.buf[:cap(t.buf)]
+	if cap(t.rows) < s {
+		t.rows = make([][]uint64, s)
+	}
+	rows := t.rows[:s]
+	for i := range rows {
+		rows[i] = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
+}
+
+// EvalSeedsBlockedFold is the block-major multi-seed kernel of the seed
+// searches. Where EvalKeys is seed-major (one seed re-streams the whole key
+// vector), this walks the key vector once in cache-resident blocks of
+// blockKeyGrain keys and evaluates all S candidate seeds against each block
+// before advancing — the memory traffic of one pass, amortised over the
+// group. Pairwise (k = 2) families run four seeds per inner loop through
 // intmath.Reducer.EvalPoly2x4, which keeps four independent Barrett chains
 // (or, on AVX2 hardware, four-key vector sweeps) in flight per block.
 //
-// Results are byte-identical to calling EvalKeys(seeds[s], keys, out[s]) for
-// each s in order — fuzz-proven in evaluator_test.go — so the blocked path
-// is a speed change only. Every seed must have the family's SeedLen, every
-// key must be < P, and each of the first len(seeds) rows of out must have at
-// least len(keys) entries. Dirty row contents and slots beyond len(keys) are
-// never read, so tile rows drawn from internal/scratch can be passed as-is.
+// Each evaluated block is handed to fold(lo, hi, z) while cache-resident:
+// z[s][i] holds h_seeds[s](keys[lo+i]) for i < hi-lo. The rows live in tile
+// and are overwritten by the next block, so the callback must consume them
+// before returning. Blocks arrive in ascending key order on the calling
+// goroutine, and every value is byte-identical to EvalKeys(seeds[s], keys)
+// (fuzz-proven in evaluator_test.go and fold_test.go), so a fold that
+// absorbs blocks left to right computes exactly what a full z row would
+// give it. Every seed must have the family's SeedLen and every key must be
+// < P. With no seeds or no keys the callback is never invoked.
 //
 //det:hotpath
+func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile *Tile, fold func(lo, hi int, z [][]uint64)) {
+	e.evalBlocks(seeds, keys, tile.Rows(len(seeds), min(len(keys), blockKeyGrain)), false, fold)
+}
+
+// EvalSeedsBlocked is EvalSeedsBlockedFold writing every block straight
+// into full-length output rows: out[s][i] = h_seeds[s](keys[i]). Each of the
+// first len(seeds) rows of out must have at least len(keys) entries; dirty
+// contents and slots beyond len(keys) are never read. The seed searches'
+// row sinks (sparse selection rounds) are filled through it.
 func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]uint64) {
-	k := e.fam.k
-	S := len(seeds)
-	if len(out) < S {
+	if len(out) < len(seeds) {
 		panic("hashfam: EvalSeedsBlocked with fewer output rows than seeds")
 	}
-	for s, seed := range seeds {
-		if len(seed) != k {
-			panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
-		}
+	for s := range seeds {
 		if len(out[s]) < len(keys) {
 			panic("hashfam: EvalSeedsBlocked output row shorter than key vector")
+		}
+	}
+	e.evalBlocks(seeds, keys, out, true, nil)
+}
+
+// evalBlocks is the one block loop of both kernel forms. Block [lo, hi) of
+// seed s lands in rows[s][lo:hi] when full is set and in rows[s][:hi-lo]
+// otherwise; fold, when non-nil, runs after every block.
+//
+//det:hotpath
+func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, rows [][]uint64, full bool, fold func(lo, hi int, z [][]uint64)) {
+	k := e.fam.k
+	S := len(seeds)
+	for _, seed := range seeds {
+		if len(seed) != k {
+			panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
 		}
 	}
 	if S == 0 || len(keys) == 0 {
 		return
 	}
 	// Reduce every seed's coefficients once up front (the per-seed analogue
-	// of EvalKeys' single reduceSeed). The stack array covers the batch
-	// shapes the objectives feed (S <= condexp.BlockSeeds, k <= 4); larger
-	// requests fall back to one allocation amortised over S full key sweeps.
+	// of EvalKeys' single reduceSeed). The stack array covers the group
+	// shapes the seed searches feed (S <= condexp.BlockSeeds, k <= 4);
+	// larger requests fall back to one allocation amortised over S key
+	// sweeps.
 	var cstack [64]uint64
 	var cs []uint64
 	if S*k <= len(cstack) {
@@ -166,15 +216,15 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 			c[i] = e.red.Mod(v)
 		}
 	}
-	pairwise := k == 2
-	for lo := 0; lo < len(keys); lo += blockedKeyGrain {
-		hi := lo + blockedKeyGrain
-		if hi > len(keys) {
-			hi = len(keys)
-		}
+	for lo := 0; lo < len(keys); lo += blockKeyGrain {
+		hi := min(lo+blockKeyGrain, len(keys))
 		kb := keys[lo:hi]
-		if pairwise {
-			s := 0
+		a, b := 0, hi-lo
+		if full {
+			a, b = lo, hi
+		}
+		s := 0
+		if k == 2 {
 			for ; s+4 <= S; s += 4 {
 				var c0, c1 [4]uint64
 				for j := 0; j < 4; j++ {
@@ -182,103 +232,15 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 					c1[j] = cs[(s+j)*2+1]
 				}
 				e.red.EvalPoly2x4(&c0, &c1, kb,
-					out[s][lo:hi], out[s+1][lo:hi], out[s+2][lo:hi], out[s+3][lo:hi])
-			}
-			for ; s < S; s++ {
-				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, out[s][lo:hi])
-			}
-		} else {
-			for s := 0; s < S; s++ {
-				e.evalReduced(cs[s*k:(s+1)*k], kb, out[s][lo:hi])
+					rows[s][a:b], rows[s+1][a:b], rows[s+2][a:b], rows[s+3][a:b])
 			}
 		}
-	}
-}
-
-// EvalSeedsBlockedFold is the fused form of EvalSeedsBlocked: instead of
-// filling S full-length output rows, it evaluates each BlockKeyGrain key
-// block into the first hi-lo slots of the S tile rows and immediately hands
-// the block to the caller's fold callback — so the selection's min-table
-// updates run while the block's z values are still cache-resident, and the
-// S×len(keys) tile of the two-pass path shrinks to S×BlockKeyGrain. Inside
-// fold(lo, hi), tile[s][i] holds h_seeds[s](keys[lo+i]) for i < hi-lo; the
-// rows are overwritten by the next block, so the callback must consume them
-// before returning.
-//
-// The fold sequence is deterministic by construction: blocks are visited in
-// ascending key order with boundaries derived from len(keys) and
-// BlockKeyGrain alone, every tile value is byte-identical to the
-// corresponding EvalSeedsBlocked slot (same per-block inner kernels,
-// fuzz-proven in evaluator_test.go), and the callback runs on the calling
-// goroutine. A caller whose fold is a per-block min/sum absorption therefore
-// computes exactly what the two-pass pipeline computes. Each of the first
-// len(seeds) tile rows must have at least min(BlockKeyGrain, len(keys))
-// entries; dirty row contents are never read. With no seeds or no keys the
-// callback is never invoked.
-//
-//det:hotpath
-func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile [][]uint64, fold func(lo, hi int)) {
-	k := e.fam.k
-	S := len(seeds)
-	if len(tile) < S {
-		panic("hashfam: EvalSeedsBlockedFold with fewer tile rows than seeds")
-	}
-	rowLen := len(keys)
-	if rowLen > blockedKeyGrain {
-		rowLen = blockedKeyGrain
-	}
-	for s, seed := range seeds {
-		if len(seed) != k {
-			panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
+		for ; s < S; s++ {
+			e.evalReduced(cs[s*k:(s+1)*k], kb, rows[s][a:b])
 		}
-		if len(tile[s]) < rowLen {
-			panic("hashfam: EvalSeedsBlockedFold tile row shorter than key block")
+		if fold != nil {
+			fold(lo, hi, rows)
 		}
-	}
-	if S == 0 || len(keys) == 0 {
-		return
-	}
-	var cstack [64]uint64
-	var cs []uint64
-	if S*k <= len(cstack) {
-		cs = cstack[:S*k]
-	} else {
-		cs = make([]uint64, S*k) //det:allow hotalloc fallback for seed batches wider than the stack array, amortised over S key sweeps
-	}
-	for s, seed := range seeds {
-		c := cs[s*k : (s+1)*k]
-		for i, v := range seed {
-			c[i] = e.red.Mod(v)
-		}
-	}
-	pairwise := k == 2
-	for lo := 0; lo < len(keys); lo += blockedKeyGrain {
-		hi := lo + blockedKeyGrain
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		kb := keys[lo:hi]
-		w := hi - lo
-		if pairwise {
-			s := 0
-			for ; s+4 <= S; s += 4 {
-				var c0, c1 [4]uint64
-				for j := 0; j < 4; j++ {
-					c0[j] = cs[(s+j)*2]
-					c1[j] = cs[(s+j)*2+1]
-				}
-				e.red.EvalPoly2x4(&c0, &c1, kb,
-					tile[s][:w], tile[s+1][:w], tile[s+2][:w], tile[s+3][:w])
-			}
-			for ; s < S; s++ {
-				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, tile[s][:w])
-			}
-		} else {
-			for s := 0; s < S; s++ {
-				e.evalReduced(cs[s*k:(s+1)*k], kb, tile[s][:w])
-			}
-		}
-		fold(lo, hi)
 	}
 }
 
@@ -291,11 +253,9 @@ const evalKeysShardGrain = 4096
 
 // EvalKeysW is EvalKeys with the key vector sharded over up to `workers`
 // goroutines of the shared internal/parallel pool (0 = GOMAXPROCS, 1 =
-// serial). It exists for rounds whose key vectors are long while the seed
-// batch is too short to saturate the pool by itself: the apply filters and
-// final selections that evaluate ONE seed over the whole round, and batch
-// tails narrower than the worker count (see condexp.SpareWorkers). Output
-// is byte-identical to EvalKeys at any worker count: the seed's
+// serial). It exists for the apply filters and final selections that
+// evaluate ONE seed over a whole round's key vector, where no seed group is
+// there to fill the pool. Output is byte-identical to EvalKeys at any worker count: the seed's
 // coefficients are reduced once and shared read-only, and each shard writes
 // only its own out range.
 func (e *Evaluator) EvalKeysW(seed, keys, out []uint64, workers int) []uint64 {

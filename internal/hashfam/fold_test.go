@@ -5,13 +5,46 @@ import (
 	"testing"
 )
 
-// TestEvalSeedsBlockedFoldMatchesBlocked pins the fold kernel's contract:
-// reassembling the per-block tile contents handed to the callback must
-// reproduce EvalSeedsBlocked's full matrix byte for byte, the callback must
-// see exactly the [0, len(keys)) blocks in ascending order with
-// BlockKeyGrain-aligned boundaries, and tile rows start dirty. Key counts
-// straddle the grain (empty, below, exact multiple, ragged tail) and S covers
-// the EvalPoly2x4 groups plus remainders.
+// foldAll runs EvalSeedsBlockedFold over dirty tile rows and reassembles the
+// blocks handed to the callback into full rows, checking on the way that the
+// blocks are [0, len(keys)) in ascending order with blockKeyGrain-aligned
+// boundaries. It reports the reassembled rows and whether the callback ran.
+func foldAll(t *testing.T, ev *Evaluator, seeds [][]uint64, keys []uint64, dirty uint64) ([][]uint64, bool) {
+	t.Helper()
+	S, n := len(seeds), len(keys)
+	var tile Tile
+	for _, row := range tile.Rows(S, blockKeyGrain) {
+		for i := range row {
+			row[i] = dirty // prior contents must not leak
+		}
+	}
+	got := make([][]uint64, S)
+	for s := range got {
+		got[s] = make([]uint64, n)
+	}
+	prevHi, called := 0, false
+	ev.EvalSeedsBlockedFold(seeds, keys, &tile, func(lo, hi int, z [][]uint64) {
+		called = true
+		if lo != prevHi || hi <= lo || hi > n || hi-lo > blockKeyGrain || (hi < n && hi-lo != blockKeyGrain) {
+			t.Fatalf("S=%d n=%d: bad block [%d,%d) after hi=%d", S, n, lo, hi, prevHi)
+		}
+		prevHi = hi
+		for s := 0; s < S; s++ {
+			copy(got[s][lo:hi], z[s][:hi-lo])
+		}
+	})
+	if called && prevHi != n {
+		t.Fatalf("S=%d n=%d: fold stopped at %d", S, n, prevHi)
+	}
+	return got, called
+}
+
+// TestEvalSeedsBlockedFoldMatchesBlocked pins the fused kernel's contract:
+// the blocks handed to the callback reassemble to exactly Family.Eval of
+// every (seed, key) pair, and the full-row EvalSeedsBlocked wrapper writes
+// the same values. Key counts straddle the grain (empty, below, exact
+// multiple, ragged tail) and S covers the EvalPoly2x4 groups plus
+// remainders.
 func TestEvalSeedsBlockedFoldMatchesBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range evaluatorFamilies {
@@ -33,49 +66,21 @@ func TestEvalSeedsBlockedFoldMatchesBlocked(t *testing.T) {
 				if n > 1 {
 					keys[0], keys[1] = 0, f.P()-1
 				}
-				want := make([][]uint64, S)
-				for s := 0; s < S; s++ {
-					want[s] = make([]uint64, n)
+				got, called := foldAll(t, ev, seeds, keys, ^uint64(0))
+				if called != (S > 0 && n > 0) {
+					t.Fatalf("S=%d n=%d: callback invoked = %v", S, n, called)
 				}
-				ev.EvalSeedsBlocked(seeds, keys, want)
-
-				blockLen := n
-				if blockLen > BlockKeyGrain {
-					blockLen = BlockKeyGrain
+				rows := make([][]uint64, S)
+				for s := range rows {
+					rows[s] = make([]uint64, n)
 				}
-				tile := make([][]uint64, S)
-				got := make([][]uint64, S)
-				for s := 0; s < S; s++ {
-					tile[s] = make([]uint64, blockLen)
-					got[s] = make([]uint64, n)
-					for i := range tile[s] {
-						tile[s][i] = ^uint64(0) // dirty prior contents must not leak
-					}
-				}
-				prevHi := 0
-				ev.EvalSeedsBlockedFold(seeds, keys, tile, func(lo, hi int) {
-					if lo != prevHi || hi <= lo || hi > n || (hi-lo > BlockKeyGrain) {
-						t.Fatalf("S=%d n=%d: bad block [%d,%d) after hi=%d", S, n, lo, hi, prevHi)
-					}
-					if hi < n && (hi-lo) != BlockKeyGrain {
-						t.Fatalf("S=%d n=%d: interior block [%d,%d) not grain-sized", S, n, lo, hi)
-					}
-					prevHi = hi
-					for s := 0; s < S; s++ {
-						copy(got[s][lo:hi], tile[s][:hi-lo])
-					}
-				})
-				if S > 0 && prevHi != n {
-					t.Fatalf("S=%d n=%d: fold stopped at %d", S, n, prevHi)
-				}
-				if (S == 0 || n == 0) && prevHi != 0 {
-					t.Fatalf("S=%d n=%d: callback invoked on empty work", S, n)
-				}
+				ev.EvalSeedsBlocked(seeds, keys, rows)
 				for s := 0; s < S; s++ {
 					for i := 0; i < n; i++ {
-						if got[s][i] != want[s][i] {
-							t.Fatalf("p=%d k=%d S=%d n=%d: seed %d key %d: fold = %d, blocked = %d",
-								f.P(), f.K(), S, n, s, i, got[s][i], want[s][i])
+						want := f.Eval(seeds[s], keys[i])
+						if got[s][i] != want || rows[s][i] != want {
+							t.Fatalf("p=%d k=%d S=%d n=%d: seed %d key %d: fold = %d, blocked = %d, Eval = %d",
+								f.P(), f.K(), S, n, s, i, got[s][i], rows[s][i], want)
 						}
 					}
 				}
@@ -88,16 +93,14 @@ func TestEvalSeedsBlockedFoldPanics(t *testing.T) {
 	f := New(97, 2)
 	ev := NewEvaluator(f)
 	keys := []uint64{0, 1, 2}
-	noop := func(lo, hi int) {}
+	noop := func(lo, hi int, z [][]uint64) {}
+	var tile Tile
 	for name, fn := range map[string]func(){
 		"short seed": func() {
-			ev.EvalSeedsBlockedFold([][]uint64{{1}}, keys, [][]uint64{make([]uint64, 3)}, noop)
+			ev.EvalSeedsBlockedFold([][]uint64{{1}}, keys, &tile, noop)
 		},
-		"missing row": func() {
-			ev.EvalSeedsBlockedFold([][]uint64{{1, 2}, {3, 4}}, keys, [][]uint64{make([]uint64, 3)}, noop)
-		},
-		"short row": func() {
-			ev.EvalSeedsBlockedFold([][]uint64{{1, 2}}, keys, [][]uint64{make([]uint64, 2)}, noop)
+		"long seed": func() {
+			ev.EvalSeedsBlockedFold([][]uint64{{1, 2}, {1, 2, 3}}, keys, &tile, noop)
 		},
 	} {
 		func() {
@@ -111,11 +114,11 @@ func TestEvalSeedsBlockedFoldPanics(t *testing.T) {
 	}
 }
 
-// FuzzEvalSeedsBlockedFoldMatchesBlocked drives the fold kernel with
+// FuzzEvalSeedsBlockedFoldMatchesBlocked drives the fused kernel with
 // arbitrary fields (the reducer's boundary regimes: near 1, near 2^32, near
 // 2^63, near 2^64), S in {1, 3, 8}, and ragged key counts that leave partial
-// tail blocks; reassembled blocks must match the two-pass kernel byte for
-// byte. Tile rows start dirty and are sized exactly one block.
+// tail blocks; reassembled blocks must match per-seed EvalKeys byte for
+// byte. Tile rows start dirty.
 func FuzzEvalSeedsBlockedFoldMatchesBlocked(f *testing.F) {
 	f.Add(uint64(1), 2, 1, uint64(12345), 513)
 	f.Add((uint64(1)<<32)-1, 2, 8, uint64(99), 1025)
@@ -155,35 +158,14 @@ func FuzzEvalSeedsBlockedFoldMatchesBlocked(f *testing.F) {
 		for i := range keys {
 			keys[i] = next() % fam.P()
 		}
-		want := make([][]uint64, S)
+		got, _ := foldAll(t, ev, seeds, keys, base)
+		want := make([]uint64, n)
 		for s := 0; s < S; s++ {
-			want[s] = make([]uint64, n)
-		}
-		ev.EvalSeedsBlocked(seeds, keys, want)
-
-		blockLen := n
-		if blockLen > BlockKeyGrain {
-			blockLen = BlockKeyGrain
-		}
-		tile := make([][]uint64, S)
-		got := make([][]uint64, S)
-		for s := 0; s < S; s++ {
-			tile[s] = make([]uint64, blockLen)
-			got[s] = make([]uint64, n)
-			for i := range tile[s] {
-				tile[s][i] = base // dirty
-			}
-		}
-		ev.EvalSeedsBlockedFold(seeds, keys, tile, func(lo, hi int) {
-			for s := 0; s < S; s++ {
-				copy(got[s][lo:hi], tile[s][:hi-lo])
-			}
-		})
-		for s := 0; s < S; s++ {
+			ev.EvalKeys(seeds[s], keys, want)
 			for i := 0; i < n; i++ {
-				if got[s][i] != want[s][i] {
-					t.Fatalf("p=%d k=%d S=%d n=%d: seed %d key %d: fold %d, two-pass %d",
-						fam.P(), k, S, n, s, i, got[s][i], want[s][i])
+				if got[s][i] != want[i] {
+					t.Fatalf("p=%d k=%d S=%d n=%d: seed %d key %d: fold %d, per-seed %d",
+						fam.P(), k, S, n, s, i, got[s][i], want[i])
 				}
 			}
 		}

@@ -262,7 +262,7 @@ func evalPoly2SmallGo(c0, c1, m, rec uint64, keys, out []uint64) {
 
 // EvalPoly2x4 evaluates four degree-1 polynomials over one shared key block:
 // outS[i] = (c1[S]·keys[i] + c0[S]) mod m for S in 0..3. It is the S-seed
-// member of the blocked kernel family (hashfam.Evaluator.EvalSeedsBlocked
+// member of the blocked kernel family (hashfam.Evaluator.EvalSeedsBlockedFold
 // feeds it groups of four candidate seeds per cache-resident key block): the
 // four Barrett chains are independent, so on the portable path the inner
 // loop keeps four multiplies in flight per key instead of serialising on

@@ -121,40 +121,34 @@ func MIS(g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 	return MISIn(scratch.New(), g, p, model)
 }
 
-// lowdegEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the I_h buffer, the generation-stamped membership mark and
-// R-list of the incident-count objective, the per-seed z vector of the
-// kernel path, and (for the scalar reference path) the removed-node mask of
-// the retained full-scan objective plus a permanent z-closure reading the
-// current seed through the seed field. Either way an evaluation allocates
-// nothing, and only the selected path's mask is allocated. The mark/gen
-// pair follows the repository's epoch-stamp invariant (core.NextEpoch):
+// lowdegSink is one worker's seed-search sink: the node selection of each
+// candidate seed over the phase graph *cur, scored by incidentEdges through
+// the generation-stamped membership mark and R-list. The mark/gen pair
+// follows the repository's epoch-stamp invariant (core.NextEpoch):
 // mark[v] == gen means v ∈ I_h ∪ N(I_h) for the CURRENT evaluation only,
 // gen advances per evaluation, and a uint32 wrap hard-resets the mark
 // array, so pooled reuse across seeds and workers can never leak a stale
 // membership bit.
-type lowdegEval struct {
-	ih     []graph.NodeID
-	mark   []uint32
-	gen    uint32
-	r      []graph.NodeID // the touched set I_h ∪ N(I_h), rebuilt per eval
-	remove []bool         // scalar reference path: removedEdgesMasked's mask
-	z      []uint64       // kernel path: EvalKeys output over the live colour keys
-	tile   scratch.Tile   // blocked path: one z row per seed of a BlockSeeds group
-	nf     core.NodeFold  // dense phases: flat per-seed selection tables
-	seed   []uint64
-	zf     func(graph.NodeID) uint64
+type lowdegSink struct {
+	core.NodeSink
+	cur  **graph.Graph
+	mark []uint32
+	gen  uint32
+	r    []graph.NodeID // the touched set I_h ∪ N(I_h), rebuilt per eval
+}
+
+func (s *lowdegSink) Value(i int) int64 {
+	cur := *s.cur
+	return int64(incidentEdges(cur, s.Select(cur, i), s))
 }
 
 // incidentEdges counts the edges of cur incident to R = ih ∪ N(ih) — the
 // edges one Luby phase removes when I_h = ih is selected — touching only R
 // and its incidences: Σ_{w∈R} d(w) counts every incident edge once plus
 // every R-internal edge twice, so the count is the degree sum minus the
-// internal-edge correction. It is exactly removedEdgesMasked's value
-// without the O(n+m) full-graph scan; the equivalence tables in
-// parallel_determinism_test.go compare the two bit-for-bit through the
-// retained ScalarObjectives path.
-func incidentEdges(cur *graph.Graph, ih []graph.NodeID, ev *lowdegEval) int {
+// internal-edge correction. It equals a full O(n+m) scan counting every
+// edge with an endpoint in R; sink_test.go pins the two bit for bit.
+func incidentEdges(cur *graph.Graph, ih []graph.NodeID, ev *lowdegSink) int {
 	gen := core.NextEpoch(ev.mark, &ev.gen)
 	mark := ev.mark
 	r := ev.r[:0]
@@ -243,37 +237,16 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 		liveList = keep
 	}
 	evaluator := hashfam.NewEvaluator(fam)
-	// The per-node hash keys are the (solve-invariant) G² colours; the
-	// kernel path builds a per-phase NodeSel over the surviving nodes, so a
-	// candidate seed costs one EvalKeys pass of length |alive| — which
-	// shrinks with the graph — followed by a live-list selection scan.
+	// The per-node hash keys are the (solve-invariant) G² colours; each
+	// phase builds a selection plan (NodeSel) over the surviving nodes, so a
+	// candidate seed costs its share of one block-major kernel pass over
+	// |alive| keys — which shrinks with the graph — plus a live-list
+	// selection scan. One sink per worker serves every seed of every phase.
 	colorKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
 	sel := sc.NodeSel()
-	evalPool := scratch.NewPerWorker(func() *lowdegEval {
-		// Only the selected objective path's mask is ever touched, so only
-		// it is allocated — the other would be per-worker dead weight
-		// against the tightened warm-reuse budgets.
-		ev := &lowdegEval{}
-		if p.ScalarObjectives {
-			ev.remove = make([]bool, n)
-		} else {
-			ev.mark = make([]uint32, n)
-		}
-		ev.zf = func(v graph.NodeID) uint64 {
-			return fam.Eval(ev.seed, uint64(col.Colors[v]))
-		}
-		return ev
+	driver := condexp.NewBlockSearch(evaluator, p.Workers(), func() condexp.Sink {
+		return &lowdegSink{NodeSink: core.NodeSink{Sel: sel}, cur: &cur, mark: make([]uint32, n)}
 	})
-	// localMin computes I_h for one seed into dst, through the kernel or
-	// the scalar closure reference.
-	localMin := func(ev *lowdegEval, dst []graph.NodeID, q *graph.Graph, seed []uint64, workers int) []graph.NodeID {
-		if p.ScalarObjectives {
-			ev.seed = seed
-			return core.LocalMinNodesInto(dst, q, alive, ev.zf)
-		}
-		ev.z = graph.Grow(ev.z, len(sel.Keys()))
-		return core.LocalMinNodesSelIn(&ev.nf, dst, q, sel, evaluator.EvalKeysW(seed, sel.Keys(), ev.z, workers))
-	}
 
 	joinIsolated := func() {
 		for _, v := range liveList {
@@ -302,67 +275,11 @@ loop:
 			}
 			st := PhaseStats{Stage: stage, Phase: phase, EdgesBefore: cur.M()}
 
-			curG := cur
 			// Per-phase selection plan over the surviving nodes, shared
-			// read-only by the concurrent per-seed evaluations below. The
-			// live list mirrors the alive mask (compacted after every
-			// removal), so the plan costs O(|alive|), not O(n).
+			// read-only by the concurrent per-seed evaluations. The live list
+			// mirrors the alive mask (compacted after every removal), so the
+			// plan costs O(|alive|), not O(n).
 			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
-			objective := func(seeds [][]uint64, values []int64) {
-				if p.ScalarObjectives {
-					spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-					parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-						ev := evalPool.Get()
-						ev.ih = localMin(ev, ev.ih, curG, seeds[i], spare)
-						// The retained full-scan reference: walks all of cur.
-						values[i] = int64(removedEdgesMasked(curG, ev.ih, ev.remove))
-						evalPool.Put(ev)
-					})
-					return
-				}
-				// Blocked kernel path. Dense phases (live set still covering
-				// most of the id space) run the fused fold pipeline: the
-				// tile shrinks to one hashfam.BlockKeyGrain block per seed
-				// and each evaluated block scatters into the worker's flat
-				// per-seed tables while cache-resident, then the selection
-				// probes the tables — bit-identical to the two-pass tile +
-				// LocalMinNodesSel below, which sparse phases keep. Either
-				// way each group of BlockSeeds candidates makes ONE
-				// block-major pass over the phase's live colour keys, group
-				// boundaries depend only on the batch length, and each group
-				// writes only its own value slots, so results are
-				// worker-count independent.
-				condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-					ev := evalPool.Get()
-					if sel.Dense() {
-						S := hi - lo
-						tabs := ev.nf.Tables(sel, S)
-						blockLen := len(sel.Keys())
-						if blockLen > hashfam.BlockKeyGrain {
-							blockLen = hashfam.BlockKeyGrain
-						}
-						tile := ev.tile.Rows(S, blockLen)
-						evaluator.EvalSeedsBlockedFold(seeds[lo:hi], sel.Keys(), tile, func(blo, bhi int) {
-							for s := 0; s < S; s++ {
-								core.NodeFoldScatter(tabs[s], sel, blo, bhi, tile[s])
-							}
-						})
-						for s := 0; s < S; s++ {
-							ev.ih = core.NodeFoldSelect(ev.ih, curG, sel, tabs[s])
-							values[lo+s] = int64(incidentEdges(curG, ev.ih, ev))
-						}
-						evalPool.Put(ev)
-						return
-					}
-					tile := ev.tile.Rows(hi-lo, len(sel.Keys()))
-					evaluator.EvalSeedsBlocked(seeds[lo:hi], sel.Keys(), tile)
-					for s := lo; s < hi; s++ {
-						ev.ih = core.LocalMinNodesSel(ev.ih, curG, sel, tile[s-lo])
-						values[s] = int64(incidentEdges(curG, ev.ih, ev))
-					}
-					evalPool.Put(ev)
-				})
-			}
 			// Luby's pairwise analysis guarantees E[removed] >= |E|/108
 			// (the Lemma 13 constant); demand the configured fraction.
 			threshold := int64(p.ThresholdFrac * float64(cur.M()) / 108.0)
@@ -373,7 +290,6 @@ loop:
 				Model:    model,
 				Label:    "lowdeg.seed",
 				MaxSeeds: p.MaxSeedsPerSearch,
-				Workers:  p.Workers(),
 				Done:     p.Done,
 			}
 			// Seed-batch sub-events are observer-only work (see the
@@ -384,7 +300,7 @@ loop:
 					batchStats = append(batchStats, core.SeedBatchStat(bs))
 				}
 			}
-			search, err := condexp.SearchAtLeastBatch(fam, objective, threshold, copts)
+			search, err := condexp.SearchAtLeastBatch(fam, driver.Objective(sel.Keys()), threshold, copts)
 			if err != nil {
 				panic(err)
 			}
@@ -396,9 +312,8 @@ loop:
 			st.SeedsTried = search.SeedsTried
 			st.SeedFound = search.Found
 
-			fin := evalPool.Get()
-			ih := localMin(fin, sc.NodeIDsCap(n), cur, search.Seed, p.Workers())
-			evalPool.Put(fin)
+			z := evaluator.EvalKeysW(search.Seed, sel.Keys(), sc.Uint64s(len(sel.Keys())), p.Workers())
+			ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), cur, sel, z)
 			st.Selected = len(ih)
 			remove := sc.Bools(n)
 			for _, v := range ih {
@@ -521,32 +436,4 @@ func maxBallWords(g *graph.Graph, r, workers int) int {
 		pool.Put(bs)
 		return max
 	})
-}
-
-// removedEdgesMasked counts edges incident to ih ∪ N(ih) in cur, using the
-// caller's mask (length >= cur.N(), all-false on entry) as working state and
-// restoring it to all-false before returning — that is what lets the seed
-// search pool one mask per worker across thousands of evaluations.
-func removedEdgesMasked(cur *graph.Graph, ih []graph.NodeID, remove []bool) int {
-	for _, v := range ih {
-		remove[v] = true
-		for _, u := range cur.Neighbors(v) {
-			remove[u] = true
-		}
-	}
-	count := 0
-	for u := 0; u < cur.N(); u++ {
-		for _, v := range cur.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) < v && (remove[u] || remove[v]) {
-				count++
-			}
-		}
-	}
-	for _, v := range ih {
-		remove[v] = false
-		for _, u := range cur.Neighbors(v) {
-			remove[u] = false
-		}
-	}
-	return count
 }

@@ -52,19 +52,38 @@ type IterStats struct {
 	Threshold        int64
 }
 
-// mmEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the local-minimum selection scratch, the per-seed z vector of
-// the kernel path, and (for the scalar reference path) a permanent
-// z-closure reading the current seed through the seed field.
-type mmEval struct {
-	lm   core.EdgeMinScratch
-	z    []uint64      // kernel path: EvalKeys output over the round's key vector
-	tile scratch.Tile  // blocked path: one z row per seed of a BlockSeeds group
-	ef   core.EdgeFold // fold path: flat per-seed endpoint-min tables
-	eh   []graph.Edge  // fold path: decoded matching of the seed under scoring
-	seed []uint64
-	zf   func(graph.Edge) uint64
+// mmRound is the per-round state of the seed search, shared read-only by
+// every worker's sink: the selection plan over E* and the B-node degrees
+// the objective weighs matched nodes with.
+type mmRound struct {
+	sel core.EdgeSel
+	b   []bool
+	deg []int
 }
+
+// value is the Lemma 13 objective of a candidate matching E_h: the summed
+// degree of its matched B-nodes.
+func (r *mmRound) value(eh []graph.Edge) int64 {
+	var v int64
+	for _, e := range eh {
+		if r.b[e.U] {
+			v += int64(r.deg[e.U])
+		}
+		if r.b[e.V] {
+			v += int64(r.deg[e.V])
+		}
+	}
+	return v
+}
+
+// mmSink is one worker's seed-search sink: the edge selection of each
+// candidate seed, scored by the round's objective.
+type mmSink struct {
+	core.EdgeSink
+	r *mmRound
+}
+
+func (s *mmSink) Value(i int) int64 { return s.r.value(s.Select(i)) }
 
 // Result is the outcome of the deterministic maximal matching.
 type Result struct {
@@ -103,19 +122,11 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	n := g.N()
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
-	// One selection scratch per worker serves every candidate-seed
-	// evaluation of every round (buffers are sized by round 1, the
-	// largest). The kernel path evaluates each seed over the round's shared
-	// key vector into the pooled z buffer (one EvalKeys pass, no per-edge
-	// closure); the scalar reference path holds its z-closure permanently
-	// and swaps the seed it reads through the seed field. Either way an
-	// evaluation allocates nothing.
-	lmPool := scratch.NewPerWorker(func() *mmEval {
-		ev := &mmEval{}
-		ev.zf = func(e graph.Edge) uint64 {
-			return fam.Eval(ev.seed, core.SlotKey(e.Key(n), 0, n))
-		}
-		return ev
+	// One sink per worker serves every candidate seed of every round; its
+	// tables and rows are sized by round 1, the largest.
+	var rd mmRound
+	driver := condexp.NewBlockSearch(evaluator, p.Workers(), func() condexp.Sink {
+		return &mmSink{EdgeSink: core.EdgeSink{Sel: &rd.sel}, r: &rd}
 	})
 
 	for iter := 1; cur.M() > 0; iter++ {
@@ -157,91 +168,13 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		model.AssertMachineWords(st.MaxBallWords, "mm.2hop")
 		model.ChargeRounds(2, "mm.collect") // sort + request round (§2.2)
 
-		// Derandomized Luby step on E* (Section 3.3). The slot-0 hash keys,
-		// the packed selection keys, and the packed-path decision are all
-		// seed-independent, so they are computed once per round (EdgeSel);
-		// every candidate seed then costs one EvalKeys pass plus a selection
-		// scan that touches only E*'s endpoints — the epoch-stamped tables
-		// never pay the id-space clear.
-		deg := sp.Deg
+		// Derandomized Luby step on E* (Section 3.3). The slot-0 hash keys
+		// and the selection plan (EdgeSel) are seed-independent, so they are
+		// built once per round; every candidate seed then costs its share of
+		// one block-major kernel pass plus a selection over E*'s endpoints.
 		keys := core.SlotKeysInto(sc.Uint64sCap(len(estarEdges)), estarEdges, 0, n)
-		var sel core.EdgeSel
-		core.EdgeSelInit(&sel, n, estarEdges, sc.Uint64sCap(len(estarEdges)), fam.P()-1)
-		value := func(eh []graph.Edge) int64 {
-			var v int64
-			for _, e := range eh {
-				if sp.B[e.U] {
-					v += int64(deg[e.U])
-				}
-				if sp.B[e.V] {
-					v += int64(deg[e.V])
-				}
-			}
-			return v
-		}
-		evalSeed := func(seed []uint64, workers int) (*mmEval, []graph.Edge) {
-			ev := lmPool.Get()
-			if p.ScalarObjectives {
-				ev.seed = seed
-				return ev, core.LocalMinEdgesInto(&ev.lm, estar, estarEdges, ev.zf)
-			}
-			ev.z = graph.Grow(ev.z, len(keys))
-			return ev, core.LocalMinEdgesSel(&ev.lm, &sel, evaluator.EvalKeysW(seed, keys, ev.z, workers))
-		}
-		objective := func(seeds [][]uint64, values []int64) {
-			if p.ScalarObjectives {
-				spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-				parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-					ev, eh := evalSeed(seeds[i], spare)
-					values[i] = value(eh)
-					lmPool.Put(ev)
-				})
-				return
-			}
-			// Blocked kernel path. When the round qualifies (sel.Fold: keys
-			// pack beside a node id and E* is dense in the id space), the
-			// fused fold pipeline evaluates one hashfam.BlockKeyGrain block
-			// of keys per seed and scatters it into flat per-seed
-			// endpoint-min tables while cache-resident; the mutual-pointer
-			// decode then recovers the identical matching the touched-set
-			// scan would have produced (edge keys are, per endpoint,
-			// order-equivalent to (z, other-endpoint) pairs). Sparse rounds
-			// keep the two-pass tile + epoch-stamped selection. Either way
-			// each group of BlockSeeds candidates makes ONE block-major pass
-			// over the round's key vector (byte-identical to per-seed
-			// EvalKeys), group boundaries depend only on the batch length,
-			// and each group writes only its own seeds' value slots, so
-			// results are worker-count independent.
-			condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-				ev := lmPool.Get()
-				if sel.Fold() {
-					S := hi - lo
-					tabs := ev.ef.Begin(&sel, S)
-					blockLen := len(keys)
-					if blockLen > hashfam.BlockKeyGrain {
-						blockLen = hashfam.BlockKeyGrain
-					}
-					tile := ev.tile.Rows(S, blockLen)
-					evaluator.EvalSeedsBlockedFold(seeds[lo:hi], keys, tile, func(blo, bhi int) {
-						for s := 0; s < S; s++ {
-							core.EdgeFoldScatter(tabs[s], &sel, blo, bhi, tile[s])
-						}
-					})
-					for s := 0; s < S; s++ {
-						ev.eh = core.EdgeFoldDecode(ev.eh, tabs[s], &sel)
-						values[lo+s] = value(ev.eh)
-					}
-					lmPool.Put(ev)
-					return
-				}
-				tile := ev.tile.Rows(hi-lo, len(keys))
-				evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, tile)
-				for s := lo; s < hi; s++ {
-					values[s] = value(core.LocalMinEdgesSel(&ev.lm, &sel, tile[s-lo]))
-				}
-				lmPool.Put(ev)
-			})
-		}
+		core.EdgeSelInit(&rd.sel, n, estarEdges, sc.Uint64sCap(len(estarEdges)), fam.P()-1)
+		rd.b, rd.deg = sp.B, sp.Deg
 		// Lemma 13 ⇒ E_h[Σ_{v∈N_h} d(v)] >= Σ_{v∈B} d(v)/109; we demand a
 		// ThresholdFrac fraction of that.
 		st.Threshold = int64(p.ThresholdFrac * float64(sp.BWeight) / 109.0)
@@ -252,7 +185,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			Model:    model,
 			Label:    "mm.seed",
 			MaxSeeds: p.MaxSeedsPerSearch,
-			Workers:  p.Workers(),
 			Done:     p.Done,
 		}
 		// Seed-batch sub-events are observer-only work: the slice is fresh
@@ -264,7 +196,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 				batchStats = append(batchStats, core.SeedBatchStat(bs))
 			}
 		}
-		search, err := condexp.SearchAtLeastBatch(fam, objective, st.Threshold, copts)
+		search, err := condexp.SearchAtLeastBatch(fam, driver.Objective(keys), st.Threshold, copts)
 		if err != nil {
 			panic(err) // family is never empty
 		}
@@ -278,7 +210,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.SeedFound = search.Found
 		st.ObjectiveValue = search.Value
 
-		ev, eh := evalSeed(search.Seed, p.Workers())
+		z := evaluator.EvalKeysW(search.Seed, keys, sc.Uint64s(len(keys)), p.Workers())
+		eh := core.LocalMinEdgesSel(sc.EdgeMin(), &rd.sel, z)
 		if len(eh) == 0 {
 			// Unconditional-progress fallback: match the smallest-key edge.
 			eh = []graph.Edge{smallestEdge(cur)}
@@ -292,7 +225,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			matched[e.U] = true
 			matched[e.V] = true
 		}
-		lmPool.Put(ev)
 		cur = cur.WithoutNodesInto(matched, p.Workers(), sc.Loop().Next())
 		model.ChargeScan("mm.apply")
 

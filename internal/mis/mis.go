@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 	"repro/internal/simcost"
 	"repro/internal/sparsify"
@@ -70,20 +69,49 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 	return DeterministicIn(scratch.New(), g, p, model)
 }
 
-// misEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the I_h membership mask (touched entries are reset after each
-// use), the I_h node buffer, the per-seed z vector of the kernel path, and
-// (for the scalar reference path) a permanent z-closure reading the current
-// seed through the seed field. Either way an evaluation allocates nothing.
-type misEval struct {
-	inIh []bool
-	ih   []graph.NodeID
-	z    []uint64      // kernel path: EvalKeys output over the node key vector
-	tile scratch.Tile  // blocked path: one z row per seed of a BlockSeeds group
-	nf   core.NodeFold // dense rounds: flat per-seed selection tables
-	seed []uint64
-	zf   func(graph.NodeID) uint64
+// misRound is the per-round state of the seed search, shared read-only by
+// every worker's sink: the candidate graph Q' and the flattened N_v tables
+// (owner t holds nvFlat[nvStart[t]:nvStart[t+1]]) the objective scores.
+type misRound struct {
+	q       *graph.Graph
+	deg     []int
+	nvOwner []graph.NodeID
+	nvFlat  []graph.NodeID
+	nvStart []int
 }
+
+// score is the Lemma 21 objective of a candidate independent set I_h: the
+// summed degree of the B-nodes whose N_v meets I_h. inIh is the caller's
+// all-false membership mask; only the touched entries are set and reset,
+// so a pooled mask stays clean at O(|I_h|) cost.
+func (r *misRound) score(inIh []bool, ih []graph.NodeID) int64 {
+	for _, v := range ih {
+		inIh[v] = true
+	}
+	var value int64
+	for t, owner := range r.nvOwner {
+		for _, u := range r.nvFlat[r.nvStart[t]:r.nvStart[t+1]] {
+			if inIh[u] {
+				value += int64(r.deg[owner])
+				break
+			}
+		}
+	}
+	for _, v := range ih {
+		inIh[v] = false
+	}
+	return value
+}
+
+// misSink is one worker's seed-search sink: the node selection of each
+// candidate seed, scored by the round's objective.
+type misSink struct {
+	core.NodeSink
+	r    *misRound
+	inIh []bool
+}
+
+func (s *misSink) Value(i int) int64 { return s.r.score(s.inIh, s.Select(s.r.q, i)) }
 
 // DeterministicIn is Deterministic drawing every per-round buffer from sc:
 // sparsification state, the flattened N_v tables, the removal mask, and the
@@ -109,31 +137,18 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	inMIS := make([]bool, n)
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
-	// The slot-0 node keys are seed-independent, so the kernel path builds a
-	// per-round NodeSel over the round's Q' candidates: each candidate seed
-	// then costs one EvalKeys pass of length |Q'| — the touched set — rather
-	// than the full id space, and the selection iterates the live list
-	// through the epoch-stamped position index.
+	// The slot-0 node keys are seed-independent, so each round builds a
+	// selection plan (NodeSel) over its Q' candidates once: a candidate
+	// seed then costs its share of one block-major kernel pass over |Q'|
+	// keys — the touched set — rather than the full id space. One sink per
+	// worker serves every seed of every round.
 	sel := sc.NodeSel()
 	slotKeyOf := func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }
 	gamma := core.NewDegreeClasses(n, p.InvDelta).GroupSize()
-	evalPool := scratch.NewPerWorker(func() *misEval {
-		ev := &misEval{inIh: make([]bool, n)}
-		ev.zf = func(v graph.NodeID) uint64 {
-			return fam.Eval(ev.seed, core.SlotKey(uint64(v), 0, n))
-		}
-		return ev
+	var rd misRound
+	driver := condexp.NewBlockSearch(evaluator, p.Workers(), func() condexp.Sink {
+		return &misSink{NodeSink: core.NodeSink{Sel: sel}, r: &rd, inIh: make([]bool, n)}
 	})
-	// localMin computes I_h for one seed into dst, through the kernel (z
-	// vector shared via ev.z) or the scalar closure reference.
-	localMin := func(ev *misEval, dst []graph.NodeID, q *graph.Graph, inQ []bool, seed []uint64, workers int) []graph.NodeID {
-		if p.ScalarObjectives {
-			ev.seed = seed
-			return core.LocalMinNodesInto(dst, q, inQ, ev.zf)
-		}
-		ev.z = graph.Grow(ev.z, len(sel.Keys()))
-		return core.LocalMinNodesSelIn(&ev.nf, dst, q, sel, evaluator.EvalKeysW(seed, sel.Keys(), ev.z, workers))
-	}
 
 	joinIsolated := func(st *IterStats) {
 		for v := 0; v < n; v++ {
@@ -224,89 +239,12 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		model.AssertMachineWords(maxWords, "mis.Nv")
 		model.ChargeRounds(2, "mis.collect")
 
-		deg := sp.Deg
 		// The selection plan for this round's candidate set, built once and
 		// then shared read-only by every concurrent per-seed evaluation. The
 		// sparsifier already produced Q' as an ascending list, so the plan is
 		// built from it directly — no second O(n) mask scan per round.
 		sel.InitList(n, sp.QList, slotKeyOf, fam.P()-1)
-		// score computes the round objective for one I_h through the pooled
-		// membership mask, resetting only the touched entries afterwards so
-		// the buffer is clean for the next evaluation at O(|I_h|) cost.
-		score := func(ev *misEval, ih []graph.NodeID) int64 {
-			for _, v := range ih {
-				ev.inIh[v] = true
-			}
-			var value int64
-			for t := range nvOwner {
-				for _, u := range nvFlat[nvStart[t]:nvStart[t+1]] {
-					if ev.inIh[u] {
-						value += int64(deg[nvOwner[t]])
-						break
-					}
-				}
-			}
-			for _, v := range ih {
-				ev.inIh[v] = false
-			}
-			return value
-		}
-		objective := func(seeds [][]uint64, values []int64) {
-			if p.ScalarObjectives {
-				spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-				parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-					ev := evalPool.Get()
-					ih := localMin(ev, ev.ih, q, sp.Q, seeds[i], spare)
-					ev.ih = ih
-					values[i] = score(ev, ih)
-					evalPool.Put(ev)
-				})
-				return
-			}
-			// Blocked kernel path. Dense rounds run the fused fold pipeline:
-			// the tile shrinks to one hashfam.BlockKeyGrain block per seed,
-			// and each evaluated block is scattered into the worker's flat
-			// per-seed tables while cache-resident (EvalSeedsBlockedFold);
-			// the selection scan then probes the tables — bit-identical to
-			// the two-pass tile + LocalMinNodesSel below, which sparse rounds
-			// keep. Either way each group of BlockSeeds candidates makes ONE
-			// block-major pass over the round's |Q'| node keys, group
-			// boundaries depend only on the batch length, and each group
-			// writes only its own value slots, so results are worker-count
-			// independent.
-			condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-				ev := evalPool.Get()
-				if sel.Dense() {
-					S := hi - lo
-					tabs := ev.nf.Tables(sel, S)
-					blockLen := len(sel.Keys())
-					if blockLen > hashfam.BlockKeyGrain {
-						blockLen = hashfam.BlockKeyGrain
-					}
-					tile := ev.tile.Rows(S, blockLen)
-					evaluator.EvalSeedsBlockedFold(seeds[lo:hi], sel.Keys(), tile, func(blo, bhi int) {
-						for s := 0; s < S; s++ {
-							core.NodeFoldScatter(tabs[s], sel, blo, bhi, tile[s])
-						}
-					})
-					for s := 0; s < S; s++ {
-						ih := core.NodeFoldSelect(ev.ih, q, sel, tabs[s])
-						ev.ih = ih
-						values[lo+s] = score(ev, ih)
-					}
-					evalPool.Put(ev)
-					return
-				}
-				tile := ev.tile.Rows(hi-lo, len(sel.Keys()))
-				evaluator.EvalSeedsBlocked(seeds[lo:hi], sel.Keys(), tile)
-				for s := lo; s < hi; s++ {
-					ih := core.LocalMinNodesSel(ev.ih, q, sel, tile[s-lo])
-					ev.ih = ih
-					values[s] = score(ev, ih)
-				}
-				evalPool.Put(ev)
-			})
-		}
+		rd = misRound{q: q, deg: sp.Deg, nvOwner: nvOwner, nvFlat: nvFlat, nvStart: nvStart}
 		// Lemma 21 ⇒ E[Σ_{v∈N_h} d(v)] >= 0.01δ·Σ_{v∈B} d(v).
 		st.Threshold = int64(p.ThresholdFrac * 0.01 * p.Delta() * float64(sp.BWeight))
 		if st.Threshold < 1 {
@@ -316,7 +254,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			Model:    model,
 			Label:    "mis.seed",
 			MaxSeeds: p.MaxSeedsPerSearch,
-			Workers:  p.Workers(),
 			Done:     p.Done,
 		}
 		// Seed-batch sub-events are observer-only work (see the matching
@@ -327,7 +264,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 				batchStats = append(batchStats, core.SeedBatchStat(bs))
 			}
 		}
-		search, err := condexp.SearchAtLeastBatch(fam, objective, st.Threshold, copts)
+		search, err := condexp.SearchAtLeastBatch(fam, driver.Objective(sel.Keys()), st.Threshold, copts)
 		if err != nil {
 			panic(err)
 		}
@@ -340,9 +277,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.SeedFound = search.Found
 		st.ObjectiveValue = search.Value
 
-		fin := evalPool.Get()
-		ih := localMin(fin, sc.NodeIDsCap(n), q, sp.Q, search.Seed, p.Workers())
-		evalPool.Put(fin)
+		z := evaluator.EvalKeysW(search.Seed, sel.Keys(), sc.Uint64s(len(sel.Keys())), p.Workers())
+		ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), q, sel, z)
 		st.Selected = len(ih)
 		remove := sc.Bools(n)
 		for _, v := range ih {

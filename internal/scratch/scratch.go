@@ -201,7 +201,7 @@ func (p *BufPair) Next() *graph.CSR {
 
 // PerWorker hands out per-goroutine scratch values around a sync.Pool; it is
 // the companion of Context for state needed INSIDE concurrent objective
-// evaluations (candidate-seed fan-out in internal/condexp), where a single
+// evaluations (the seed-group fan-out of condexp.BlockSearch), where a single
 // arena would race. Values must be fully overwritten (or reset) by each use
 // so that results never depend on which worker previously held a value —
 // that is what keeps pooled evaluation inside the determinism contract.
@@ -222,36 +222,3 @@ func (p *PerWorker[T]) Get() T { return p.pool.Get().(T) }
 
 // Put returns a value for reuse.
 func (p *PerWorker[T]) Put(v T) { p.pool.Put(v) }
-
-// Tile is the S×n output surface of the blocked multi-seed hash kernel: S
-// rows of n hash values, one row per candidate seed of a
-// condexp.ForEachSeedBlock group, all sharing ONE backing slab so a warm
-// tile costs zero allocations no matter how many rows the group asks for.
-// Per-worker objective states embed one (or pool one via PerWorker) and
-// re-shape it each batch with Rows; the rows come back dirty, which the
-// kernel contract (hashfam.Evaluator.EvalSeedsBlocked fully overwrites its
-// rows) makes free.
-type Tile struct {
-	buf  []uint64
-	rows [][]uint64
-}
-
-// Rows returns s full-capacity row slices of n elements each, growing the
-// backing slab and row headers only when the requested shape exceeds every
-// prior request. Rows are disjoint, length-n views of one allocation (each
-// capped at its own extent, so an append cannot bleed into the next row);
-// contents are whatever the last user left — callers must fully overwrite.
-func (t *Tile) Rows(s, n int) [][]uint64 {
-	if need := s * n; cap(t.buf) < need {
-		t.buf = make([]uint64, need)
-	}
-	buf := t.buf[:cap(t.buf)]
-	if cap(t.rows) < s {
-		t.rows = make([][]uint64, s)
-	}
-	rows := t.rows[:s]
-	for i := range rows {
-		rows[i] = buf[i*n : (i+1)*n : (i+1)*n]
-	}
-	return rows
-}

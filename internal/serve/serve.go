@@ -73,7 +73,7 @@ const (
 // unwrapped; HTTPStatus maps the union onto status codes.
 var (
 	// ErrBadRequest marks a malformed or invalid request (unknown problem,
-	// out-of-range option, bad edge list); HTTP 400.
+	// bad edge list); HTTP 400, like repro.ErrInvalidOptions.
 	ErrBadRequest = errors.New("serve: bad request")
 	// ErrUnknownFingerprint marks a solve-by-fingerprint request naming a
 	// graph that was never uploaded (or was evicted); HTTP 404.
@@ -401,11 +401,11 @@ type SolveOptions struct {
 	CostTracking  *bool   `json:"cost_tracking,omitempty"`
 }
 
-// solveOptions converts to repro.SolveOption, validating ranges that the
-// core layer treats as programmer error (panics) into 400s.
-func (o *SolveOptions) solveOptions() ([]repro.SolveOption, error) {
+// solveOptions converts to repro.SolveOption. Zero values mean "engine
+// default"; range checks are the engine's (repro.ErrInvalidOptions).
+func (o *SolveOptions) solveOptions() []repro.SolveOption {
 	if o == nil {
-		return nil, nil
+		return nil
 	}
 	var opts []repro.SolveOption
 	if o.Strategy != "" {
@@ -413,33 +413,21 @@ func (o *SolveOptions) solveOptions() ([]repro.SolveOption, error) {
 		opts = append(opts, repro.WithStrategy(repro.Strategy(o.Strategy)))
 	}
 	if o.Parallelism != nil {
-		if *o.Parallelism < 0 {
-			return nil, fmt.Errorf("%w: parallelism %d out of range", ErrBadRequest, *o.Parallelism)
-		}
 		opts = append(opts, repro.WithParallelism(*o.Parallelism))
 	}
 	if o.Epsilon != 0 {
-		if o.Epsilon < 0 || o.Epsilon > 1 {
-			return nil, fmt.Errorf("%w: epsilon %v outside (0,1]", ErrBadRequest, o.Epsilon)
-		}
 		opts = append(opts, repro.WithEpsilon(o.Epsilon))
 	}
 	if o.Slack != 0 {
-		if o.Slack < 0 {
-			return nil, fmt.Errorf("%w: slack %v must be positive", ErrBadRequest, o.Slack)
-		}
 		opts = append(opts, repro.WithSlack(o.Slack))
 	}
 	if o.ThresholdFrac != 0 {
-		if o.ThresholdFrac < 0 || o.ThresholdFrac > 1 {
-			return nil, fmt.Errorf("%w: threshold_frac %v outside (0,1]", ErrBadRequest, o.ThresholdFrac)
-		}
 		opts = append(opts, repro.WithThresholdFrac(o.ThresholdFrac))
 	}
 	if o.CostTracking != nil {
 		opts = append(opts, repro.WithCostTracking(*o.CostTracking))
 	}
-	return opts, nil
+	return opts
 }
 
 // SolveRequest is one solve: a problem, a graph (inline or by fingerprint),
@@ -558,14 +546,14 @@ func (s *Server) validate(req *SolveRequest) (*repro.PreparedGraph, []repro.Solv
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := req.Options.solveOptions()
-	if err != nil {
+	opts := req.Options.solveOptions()
+	if err := s.engineFor(pg.Fingerprint()).CheckOptions(opts...); err != nil {
 		return nil, nil, err
 	}
 	return pg, opts, nil
 }
 
-// record classifies a finished solve for /v1/stats.
+// record classifies a finished solve for /v1/status.
 func (s *Server) record(err error) {
 	switch {
 	case err == nil:
@@ -584,7 +572,8 @@ func (s *Server) record(err error) {
 // streaming). Errors: repro.ErrOverloaded (queue full),
 // repro.ErrDeadlineExceeded / repro.ErrCanceled (deadline or caller
 // cancellation, at round/seed-batch boundaries), ErrBadRequest,
-// ErrUnknownFingerprint, ErrServerClosed, or solve-path errors verbatim.
+// repro.ErrInvalidOptions, ErrUnknownFingerprint, ErrServerClosed, or
+// solve-path errors verbatim.
 func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
 	pg, opts, err := s.validate(req)
 	if err != nil {
@@ -622,7 +611,7 @@ type EngineStats struct {
 	PreparedGraphs int   `json:"prepared_graphs"`
 }
 
-// Stats is the /v1/status (and /v1/stats) snapshot. The top-level counters
+// Stats is the /v1/status snapshot. The top-level counters
 // aggregate across engines; PerEngine breaks admission down by home engine,
 // which is where it is decided — QueueDepth and Queued are per-engine
 // quantities, the top-level fields report the per-engine depth and the
@@ -682,8 +671,8 @@ func (s *Server) Stats() Stats {
 
 // HTTPStatus maps the serving error taxonomy onto status codes: 429
 // overloaded, 504 deadline expired, 499 (nginx convention) client
-// cancellation, 400 bad request / unknown strategy, 404 unknown
-// fingerprint, 503 shutdown, 500 anything else.
+// cancellation, 400 bad request / invalid options / unknown strategy, 404
+// unknown fingerprint, 503 shutdown, 500 anything else.
 func HTTPStatus(err error) int {
 	switch {
 	case err == nil:
@@ -694,7 +683,8 @@ func HTTPStatus(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, repro.ErrCanceled):
 		return 499 // client closed request
-	case errors.Is(err, ErrBadRequest), errors.Is(err, repro.ErrUnknownStrategy), errors.Is(err, repro.ErrNilGraph):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, repro.ErrInvalidOptions),
+		errors.Is(err, repro.ErrUnknownStrategy), errors.Is(err, repro.ErrNilGraph):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownFingerprint):
 		return http.StatusNotFound
@@ -727,7 +717,6 @@ func writeError(w http.ResponseWriter, err error) {
 //
 //	GET  /healthz     liveness
 //	GET  /v1/status   counters incl. per-engine queue state (Stats)
-//	GET  /v1/stats    alias of /v1/status (the pre-fairness name)
 //	POST /v1/graphs   upload a graph, get its fingerprint (UploadResponse)
 //	POST /v1/solve    run a solve (SolveRequest → SolveResponse);
 //	                  stream: true switches to NDJSON round events
@@ -736,11 +725,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	status := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
-	}
-	mux.HandleFunc("GET /v1/status", status)
-	mux.HandleFunc("GET /v1/stats", status)
+	})
 	mux.HandleFunc("POST /v1/graphs", s.handleUpload)
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	return mux

@@ -497,6 +497,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 		{fmt.Errorf("%w: junk", ErrBadRequest), http.StatusBadRequest},
 		{repro.ErrUnknownStrategy, http.StatusBadRequest},
 		{repro.ErrNilGraph, http.StatusBadRequest},
+		{fmt.Errorf("%w: epsilon 0.1", repro.ErrInvalidOptions), http.StatusBadRequest},
 		{fmt.Errorf("%w: abc", ErrUnknownFingerprint), http.StatusNotFound},
 		{ErrServerClosed, http.StatusServiceUnavailable},
 		{errors.New("boom"), http.StatusInternalServerError},
@@ -505,6 +506,70 @@ func TestHTTPStatusMapping(t *testing.T) {
 		if got := HTTPStatus(c.err); got != c.want {
 			t.Errorf("HTTPStatus(%v) = %d, want %d", c.err, got, c.want)
 		}
+	}
+}
+
+// TestServeInvalidOptionsRejected: option values the engine's one rule set
+// (core.Params.Check) rejects — an epsilon so small that 1/δ overflows the
+// hash slot space, negative slack, threshold_frac > 1, negative parallelism
+// — are 400 on the plain and the streaming endpoint alike, before any
+// queueing and without taking down a worker, and ErrInvalidOptions through
+// Server.Solve. The same server then serves canonical solves bit-identical
+// to direct Engine solves.
+func TestServeInvalidOptionsRejected(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g := mustGraph(t, "gnm", 256, 6, 2)
+	negative := -1
+	for name, opts := range map[string]*SolveOptions{
+		"epsilon=0.12":       {Epsilon: 0.12},
+		"epsilon=0.1":        {Epsilon: 0.1},
+		"epsilon=1e-9":       {Epsilon: 1e-9},
+		"epsilon=-0.5":       {Epsilon: -0.5},
+		"slack=-1":           {Slack: -1},
+		"threshold_frac=1.5": {ThresholdFrac: 1.5},
+		"parallelism=-1":     {Parallelism: &negative},
+	} {
+		for _, problem := range []string{ProblemMatching, ProblemMIS} {
+			for _, stream := range []bool{false, true} {
+				resp, body := postJSON(t, ts.URL+"/v1/solve", &SolveRequest{Problem: problem, Graph: wireGraph(g), Options: opts, Stream: stream})
+				var eb errorBody
+				if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || eb.Status != http.StatusBadRequest {
+					t.Fatalf("%s %s stream=%v: status %d (%s), want a 400 error body", name, problem, stream, resp.StatusCode, body)
+				}
+			}
+			_, err := s.Solve(context.Background(), &SolveRequest{Problem: problem, Graph: wireGraph(g), Options: opts})
+			if !errors.Is(err, repro.ErrInvalidOptions) {
+				t.Fatalf("%s %s: Solve err = %v, want ErrInvalidOptions", name, problem, err)
+			}
+		}
+	}
+
+	eng := repro.NewEngine(nil)
+	wantMM, err := eng.MaximalMatching(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIS, err := eng.MaximalIndependentSet(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/solve", &SolveRequest{Problem: ProblemMatching, Graph: wireGraph(g)})
+	var mm SolveResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &mm) != nil {
+		t.Fatalf("canonical matching: status %d (%s)", resp.StatusCode, body)
+	}
+	if err := sameMatching(&mm, wantMM); err != nil {
+		t.Fatalf("canonical matching after rejections: %v", err)
+	}
+	is, err := s.Solve(context.Background(), &SolveRequest{Problem: ProblemMIS, Graph: wireGraph(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameMIS(is, wantIS); err != nil {
+		t.Fatalf("canonical MIS after rejections: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package sparsify
 import (
 	"math"
 
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -174,6 +173,7 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	n := g.N()
 	gamma := dc.GroupSize()
 	fam := core.KWiseFamily(n, p.KWise)
+	evaluator := hashfam.NewEvaluator(fam)
 	th := core.StageThreshold(fam.P(), n, dc.K)
 	sampleProb := float64(th) / float64(fam.P())
 
@@ -225,17 +225,6 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	}
 	model.ChargeSort("sparsify.distribute") // spread incident edges over machines
 
-	// Goodness objective: number of good groups under the seed. The blocked
-	// kernel path evaluates each BlockSeeds group of candidates block-major
-	// over the flattened key vector and folds every evaluated block into
-	// per-seed group cursors while cache-resident (bit-identical to scoring a
-	// full z row: groups tile the key vector in order, so the fold closes
-	// them in the same left-to-right scan countGood performs); the scalar
-	// reference path calls fam.Eval once per key. Single-seed evaluations
-	// (the apply-path recount) keep the full-width tile row + countGood
-	// two-pass shape.
-	evaluator := hashfam.NewEvaluator(fam)
-	evalPool := scratch.NewPerWorker(func() *stageEval { return new(stageEval) })
 	// Acceptance intervals hoisted out of the per-seed path: the Chernoff
 	// window μ±dev depends only on the group's size, so DevTerm's math.Pow
 	// runs once per group per stage instead of once per group per seed.
@@ -247,82 +236,9 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 		dev := p.Slack * dc.DevTerm(ex)
 		gLo[gi], gHi[gi] = mu-dev, mu+dev
 	}
-	fold := &stageFold{groups: groups, th: th, lo: gLo, hi: gHi}
-	countGood := func(z []uint64) int64 {
-		var good int64
-		for gi, gr := range groups {
-			zc := 0
-			for t := gr.start; t < gr.end; t++ {
-				if z[t] < th {
-					zc++
-				}
-			}
-			if float64(zc) >= gLo[gi] && float64(zc) <= gHi[gi] {
-				good++
-			}
-		}
-		return good
-	}
-	goodGroups := func(seed []uint64, workers int) int64 {
-		se := evalPool.Get()
-		z := se.tile.Rows(1, len(keys))[0]
-		if p.ScalarObjectives {
-			for t, k := range keys {
-				z[t] = fam.Eval(seed, k)
-			}
-		} else {
-			evaluator.EvalKeysW(seed, keys, z, workers)
-		}
-		good := countGood(z)
-		evalPool.Put(se)
-		return good
-	}
-	objective := func(seeds [][]uint64, values []int64) {
-		if p.ScalarObjectives {
-			spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-			parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-				values[i] = goodGroups(seeds[i], spare)
-			})
-			return
-		}
-		// Fused fold path: the tile holds one hashfam.BlockKeyGrain block
-		// per seed; each evaluated block is absorbed into the seeds' group
-		// cursors before the next block overwrites it. Group boundaries
-		// depend only on the batch length and each group writes only its own
-		// value slots, so results are worker-count independent.
-		condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-			se := evalPool.Get()
-			S := hi - lo
-			blockLen := len(keys)
-			if blockLen > hashfam.BlockKeyGrain {
-				blockLen = hashfam.BlockKeyGrain
-			}
-			tile := se.tile.Rows(S, blockLen)
-			cursors := se.cursorRows(S)
-			evaluator.EvalSeedsBlockedFold(seeds[lo:hi], keys, tile, func(blo, bhi int) {
-				for s := 0; s < S; s++ {
-					fold.absorb(&cursors[s], tile[s], blo, bhi)
-				}
-			})
-			for s := 0; s < S; s++ {
-				values[lo+s] = cursors[s].good
-			}
-			evalPool.Put(se)
-		})
-	}
-
-	res, err := condexp.SearchAtLeastBatch(fam, objective, int64(len(groups)), condexp.Options{
-		Model:     model,
-		Label:     "sparsify.seed",
-		MaxSeeds:  p.MaxSeedsPerSearch,
-		Workers:   p.Workers(),
-		BatchSize: batchSize(model),
-		Done:      p.Done,
-	})
-	if err != nil {
-		// Only possible for an empty family, which cannot happen (p >= 2).
-		panic(err)
-	}
+	// Goodness objective: the number of good groups under the seed, folded
+	// block by block into per-seed group cursors (stageFold).
+	res := searchStage(evaluator, keys, &stageFold{groups: groups, th: th, lo: gLo, hi: gHi}, p, model)
 	if res.Canceled {
 		// Abandoned mid-search: res.Seed may be nil (no batch evaluated), so
 		// there is nothing safe to apply — hand the cancellation up instead.
@@ -352,7 +268,7 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	out.ItemsBefore = len(cur)
 	out.ItemsAfter = len(next)
 	out.Groups = len(groups)
-	out.GoodGroups = int(goodGroups(res.Seed, p.Workers()))
+	out.GoodGroups = int(res.Value)
 	out.SeedsTried = res.SeedsTried
 	out.SeedFound = res.Found
 

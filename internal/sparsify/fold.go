@@ -3,7 +3,10 @@ package sparsify
 import (
 	"math/bits"
 
-	"repro/internal/scratch"
+	"repro/internal/condexp"
+	"repro/internal/core"
+	"repro/internal/hashfam"
+	"repro/internal/simcost"
 )
 
 // groupCursor carries one seed's in-progress goodness accumulation across
@@ -11,7 +14,7 @@ import (
 // partial count / weight sums of that group, and the finished-group tally.
 // Because the flattened groups tile [0, len(keys)) contiguously in order
 // (appendGroups invariant), a left-to-right walk over key blocks visits every
-// group's keys in exactly the order the two-pass countGood does — including
+// group's keys in exactly the order a scan of a full z row does — including
 // the float additions of weighted groups — so the fold is bit-identical to
 // scoring a full z row.
 type groupCursor struct {
@@ -41,7 +44,7 @@ type stageFold struct {
 
 // absorb folds the evaluated values z of keys[lo:hi] (z[t-lo] is key t's
 // value) into c. Blocks must arrive left to right per cursor, which
-// EvalSeedsBlockedFold guarantees. Whether a key clears the threshold is
+// condexp.BlockSearch guarantees. Whether a key clears the threshold is
 // data-random, so both accumulations are branchless: the count adds the
 // unsigned-compare borrow bit, the weighted sum multiplies the weight by it
 // (w·1 = w and zw + w·0 = zw exactly — the weights are finite and the sum
@@ -87,23 +90,45 @@ func (f *stageFold) absorb(c *groupCursor, z []uint64, lo, hi int) {
 	}
 }
 
-// stageEval is the per-worker pooled state of the stage objectives: the
-// evaluation tile (full-width for the two-pass reference and apply-path
-// recount, one block per seed row under the fold) and the per-seed group
-// cursors of the fold path.
-type stageEval struct {
-	tile    scratch.Tile
+// stageSink is one worker's condexp.Sink of a stage search: a group cursor
+// per seed of the current seed group, fed block by block and valued as its
+// good-group tally.
+type stageSink struct {
+	f       *stageFold
 	cursors []groupCursor
 }
 
-// cursorRows returns s zeroed cursors, reusing the backing array.
-func (se *stageEval) cursorRows(s int) []groupCursor {
-	if cap(se.cursors) < s {
-		se.cursors = make([]groupCursor, s)
+func (k *stageSink) Begin(s int) [][]uint64 {
+	if cap(k.cursors) < s {
+		k.cursors = make([]groupCursor, s)
 	}
-	cs := se.cursors[:s]
-	for i := range cs {
-		cs[i] = groupCursor{}
+	k.cursors = k.cursors[:s]
+	clear(k.cursors)
+	return nil
+}
+
+func (k *stageSink) Fold(s, lo, hi int, z []uint64) { k.f.absorb(&k.cursors[s], z, lo, hi) }
+
+func (k *stageSink) Value(s int) int64 { return k.cursors[s].good }
+
+// searchStage finds a stage seed under which every group of f is good (or,
+// failing that within the scan bound, the seed with the most good groups):
+// one BlockSearch over the stage's flattened key vector. Result.Value is
+// the selected seed's good-group count.
+func searchStage(ev *hashfam.Evaluator, keys []uint64, f *stageFold, p core.Params, model *simcost.Model) condexp.Result {
+	driver := condexp.NewBlockSearch(ev, p.Workers(), func() condexp.Sink {
+		return &stageSink{f: f}
+	})
+	res, err := condexp.SearchAtLeastBatch(ev.Family(), driver.Objective(keys), int64(len(f.groups)), condexp.Options{
+		Model:     model,
+		Label:     "sparsify.seed",
+		MaxSeeds:  p.MaxSeedsPerSearch,
+		BatchSize: batchSize(model),
+		Done:      p.Done,
+	})
+	if err != nil {
+		// Only possible for an empty family, which cannot happen (p >= 2).
+		panic(err)
 	}
-	return cs
+	return res
 }

@@ -3,7 +3,6 @@ package sparsify
 import (
 	"math"
 
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -168,6 +167,7 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 	n := g.N()
 	gamma := dc.GroupSize()
 	fam := core.KWiseFamily(n, p.KWise)
+	evaluator := hashfam.NewEvaluator(fam)
 	th := core.StageThreshold(fam.P(), n, dc.K)
 	sampleProb := float64(th) / float64(fam.P())
 
@@ -222,16 +222,6 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 	// Bellare-Rompel application (variables Z_u = n^{(i-1)δ}/d(u)).
 	devB := math.Pow(float64(n), (0.9-float64(i))/float64(dc.K))
 
-	// Goodness objective through the blocked kernel: each BlockSeeds group
-	// of candidates makes one block-major pass over the flattened key vector
-	// and folds every evaluated block into per-seed group cursors while
-	// cache-resident — bit-identical to scoring a full z row, because groups
-	// tile the key vector in order and the carry preserves the weighted
-	// groups' float-accumulation order exactly. The scalar reference path
-	// calls fam.Eval once per key; single-seed evaluations (the apply-path
-	// recount) keep the full-width tile row + countGood two-pass shape.
-	evaluator := hashfam.NewEvaluator(fam)
-	evalPool := scratch.NewPerWorker(func() *stageEval { return new(stageEval) })
 	// Acceptance intervals hoisted out of the per-seed path: each bound
 	// depends only on the group's fixed size — and for type-B groups its
 	// fixed total weight, accumulated here in the same left-to-right order
@@ -256,93 +246,9 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 		dev := p.Slack * devB * math.Sqrt(float64(ex))
 		gLo[gi], gHi[gi] = sampleProb*total-dev, math.Inf(1)
 	}
-	fold := &stageFold{groups: groups, th: th, weightsOf: weightsOf, lo: gLo, hi: gHi}
-	countGood := func(z []uint64) int64 {
-		var good int64
-		for gi, gr := range groups {
-			if gr.kind == 0 {
-				zc := 0
-				for t := gr.start; t < gr.end; t++ {
-					if z[t] < th {
-						zc++
-					}
-				}
-				if float64(zc) <= gHi[gi] {
-					good++
-				}
-				continue
-			}
-			var zw float64
-			for t := gr.start; t < gr.end; t++ {
-				if z[t] < th {
-					zw += weightsOf[t]
-				}
-			}
-			if zw >= gLo[gi] {
-				good++
-			}
-		}
-		return good
-	}
-	goodGroups := func(seed []uint64, workers int) int64 {
-		se := evalPool.Get()
-		z := se.tile.Rows(1, len(keys))[0]
-		if p.ScalarObjectives {
-			for t, k := range keys {
-				z[t] = fam.Eval(seed, k)
-			}
-		} else {
-			evaluator.EvalKeysW(seed, keys, z, workers)
-		}
-		good := countGood(z)
-		evalPool.Put(se)
-		return good
-	}
-	objective := func(seeds [][]uint64, values []int64) {
-		if p.ScalarObjectives {
-			spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-			parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-				values[i] = goodGroups(seeds[i], spare)
-			})
-			return
-		}
-		// Fused fold path: the tile holds one hashfam.BlockKeyGrain block
-		// per seed; each evaluated block is absorbed into the seeds' group
-		// cursors before the next block overwrites it. Group boundaries
-		// depend only on the batch length and each group writes only its own
-		// value slots, so results are worker-count independent.
-		condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-			se := evalPool.Get()
-			S := hi - lo
-			blockLen := len(keys)
-			if blockLen > hashfam.BlockKeyGrain {
-				blockLen = hashfam.BlockKeyGrain
-			}
-			tile := se.tile.Rows(S, blockLen)
-			cursors := se.cursorRows(S)
-			evaluator.EvalSeedsBlockedFold(seeds[lo:hi], keys, tile, func(blo, bhi int) {
-				for s := 0; s < S; s++ {
-					fold.absorb(&cursors[s], tile[s], blo, bhi)
-				}
-			})
-			for s := 0; s < S; s++ {
-				values[lo+s] = cursors[s].good
-			}
-			evalPool.Put(se)
-		})
-	}
-
-	res, err := condexp.SearchAtLeastBatch(fam, objective, int64(len(groups)), condexp.Options{
-		Model:     model,
-		Label:     "sparsify.seed",
-		MaxSeeds:  p.MaxSeedsPerSearch,
-		Workers:   p.Workers(),
-		BatchSize: batchSize(model),
-		Done:      p.Done,
-	})
-	if err != nil {
-		panic(err)
-	}
+	// Goodness objective: the number of good groups under the seed, folded
+	// block by block into per-seed group cursors (stageFold).
+	res := searchStage(evaluator, keys, &stageFold{groups: groups, th: th, weightsOf: weightsOf, lo: gLo, hi: gHi}, p, model)
 	if res.Canceled {
 		// res.Seed may be nil; abandon the stage, the caller discards.
 		return StageReport{}, nil, true
@@ -364,7 +270,7 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 		ItemsBefore: CountMask(cur),
 		ItemsAfter:  CountMask(next),
 		Groups:      len(groups),
-		GoodGroups:  int(goodGroups(res.Seed, workers)),
+		GoodGroups:  int(res.Value),
 		SeedsTried:  res.SeedsTried,
 		SeedFound:   res.Found,
 	}

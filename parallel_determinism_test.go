@@ -13,12 +13,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detrand"
-	"repro/internal/graph"
 	"repro/internal/hashfam"
-	"repro/internal/lowdeg"
 	"repro/internal/luby"
-	"repro/internal/matching"
-	"repro/internal/mis"
 )
 
 var determinismWorkloads = []struct {
@@ -107,31 +103,6 @@ func TestMaximalIndependentSetWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// TestSerialAliasMatchesParallelismOne pins the legacy Options.Serial alias
-// to the Parallelism=1 path.
-func TestSerialAliasMatchesParallelismOne(t *testing.T) {
-	g, err := Generate("gnm", 400, 8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := MaximalIndependentSet(g, &Options{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MaximalIndependentSet(g, &Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("Serial and Parallelism=1 disagree: %d vs %d nodes", len(a.Nodes), len(b.Nodes))
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("node %d differs: %d vs %d", i, a.Nodes[i], b.Nodes[i])
-		}
-	}
-}
-
 // TestEngineReuseWorkerCountIndependence runs the worker-count-independence
 // tables against a WARM reused Engine: at each Parallelism level the engine
 // is warmed on a different graph first (so the solve under test runs on
@@ -201,253 +172,6 @@ func TestEngineReuseWorkerCountIndependence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestHashKernelMatchesScalarPath proves the batched hash kernel changed no
-// bits: matching and MIS run through the kernel (the production path:
-// precomputed key vectors + Evaluator.EvalKeys + z-vector selection) at
-// Parallelism ∈ {1, 2, 8}, and every run is compared edge-for-edge and
-// node-for-node against the pre-kernel closure path (per-item
-// hashfam.Family.Eval, selected by core.Params.ScalarObjectives), for both
-// the sparsify and low-degree strategies.
-func TestHashKernelMatchesScalarPath(t *testing.T) {
-	for _, w := range determinismWorkloads {
-		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-			t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, strat), func(t *testing.T) {
-				g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scalar := core.DefaultParams()
-				scalar.Parallelism = 1
-				scalar.ScalarObjectives = true
-				var refMM []graph.Edge
-				var refIS []graph.NodeID
-				if strat == StrategySparsify {
-					refMM = matching.Deterministic(g, scalar, nil).Matching
-					refIS = mis.Deterministic(g, scalar, nil).IndependentSet
-				} else {
-					refMM = lowdeg.MaximalMatching(g, scalar, nil).Matching
-					refIS = lowdeg.MIS(g, scalar, nil).IndependentSet
-				}
-				for _, par := range parallelismLevels {
-					kernel := core.DefaultParams()
-					kernel.Parallelism = par
-					var mm []graph.Edge
-					var is []graph.NodeID
-					if strat == StrategySparsify {
-						mm = matching.Deterministic(g, kernel, nil).Matching
-						is = mis.Deterministic(g, kernel, nil).IndependentSet
-					} else {
-						mm = lowdeg.MaximalMatching(g, kernel, nil).Matching
-						is = lowdeg.MIS(g, kernel, nil).IndependentSet
-					}
-					if len(mm) != len(refMM) {
-						t.Fatalf("Parallelism=%d: kernel matching has %d edges, scalar path %d", par, len(mm), len(refMM))
-					}
-					for i := range mm {
-						if mm[i] != refMM[i] {
-							t.Fatalf("Parallelism=%d: matching edge %d is %v, scalar path %v", par, i, mm[i], refMM[i])
-						}
-					}
-					if len(is) != len(refIS) {
-						t.Fatalf("Parallelism=%d: kernel MIS has %d nodes, scalar path %d", par, len(is), len(refIS))
-					}
-					for i := range is {
-						if is[i] != refIS[i] {
-							t.Fatalf("Parallelism=%d: MIS node %d is %d, scalar path %d", par, i, is[i], refIS[i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestBlockedKernelMatchesScalarPath pins the block-major seed evaluation:
-// the production batch objectives now walk BlockSeeds-sized seed groups
-// through hashfam.Evaluator.EvalSeedsBlocked (S seeds per cache-resident key
-// block, AVX2 inner loop where the host has it), and this table proves that
-// restructuring moved no bits. Both strategies run at Parallelism ∈ {1, 2,
-// 8} and are compared against the retained per-item closure path
-// (core.Params.ScalarObjectives) — not just the output sets but the full
-// seed-search trajectory (seeds tried, objective values), so a divergence
-// inside any single candidate evaluation is caught even when the argmax
-// happens to agree. Workload sizes are chosen so seed batches end in ragged
-// tails (batch length not a multiple of condexp.BlockSeeds) and key vectors
-// straddle block boundaries.
-func TestBlockedKernelMatchesScalarPath(t *testing.T) {
-	for _, w := range []struct {
-		family string
-		n      int
-		avgDeg int
-		seed   uint64
-	}{
-		{"gnm", 600, 9, 11},
-		{"powerlaw", 520, 7, 13},
-		{"regular", 450, 6, 17},
-		{"grid", 529, 4, 19},
-	} {
-		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-			t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, strat), func(t *testing.T) {
-				g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scalar := core.DefaultParams()
-				scalar.Parallelism = 1
-				scalar.ScalarObjectives = true
-				type trace struct {
-					seedsTried int
-					objective  int64
-				}
-				var refMM []graph.Edge
-				var refIS []graph.NodeID
-				var refTr []trace
-				if strat == StrategySparsify {
-					mm := matching.Deterministic(g, scalar, nil)
-					is := mis.Deterministic(g, scalar, nil)
-					refMM, refIS = mm.Matching, is.IndependentSet
-					for _, it := range mm.Iterations {
-						refTr = append(refTr, trace{it.SeedsTried, it.ObjectiveValue})
-					}
-					for _, it := range is.Iterations {
-						refTr = append(refTr, trace{it.SeedsTried, it.ObjectiveValue})
-					}
-				} else {
-					mm := lowdeg.MaximalMatching(g, scalar, nil)
-					is := lowdeg.MIS(g, scalar, nil)
-					refMM, refIS = mm.Matching, is.IndependentSet
-					for _, ph := range mm.MIS.Phases {
-						refTr = append(refTr, trace{ph.SeedsTried, 0})
-					}
-					for _, ph := range is.Phases {
-						refTr = append(refTr, trace{ph.SeedsTried, 0})
-					}
-				}
-				for _, par := range parallelismLevels {
-					blocked := core.DefaultParams()
-					blocked.Parallelism = par
-					var mm []graph.Edge
-					var is []graph.NodeID
-					var tr []trace
-					if strat == StrategySparsify {
-						m := matching.Deterministic(g, blocked, nil)
-						i := mis.Deterministic(g, blocked, nil)
-						mm, is = m.Matching, i.IndependentSet
-						for _, it := range m.Iterations {
-							tr = append(tr, trace{it.SeedsTried, it.ObjectiveValue})
-						}
-						for _, it := range i.Iterations {
-							tr = append(tr, trace{it.SeedsTried, it.ObjectiveValue})
-						}
-					} else {
-						m := lowdeg.MaximalMatching(g, blocked, nil)
-						i := lowdeg.MIS(g, blocked, nil)
-						mm, is = m.Matching, i.IndependentSet
-						for _, ph := range m.MIS.Phases {
-							tr = append(tr, trace{ph.SeedsTried, 0})
-						}
-						for _, ph := range i.Phases {
-							tr = append(tr, trace{ph.SeedsTried, 0})
-						}
-					}
-					if len(tr) != len(refTr) {
-						t.Fatalf("Parallelism=%d: %d searches, scalar path %d", par, len(tr), len(refTr))
-					}
-					for i := range tr {
-						if tr[i] != refTr[i] {
-							t.Fatalf("Parallelism=%d: search %d tried %d seeds (objective %d), scalar path %d (%d)",
-								par, i, tr[i].seedsTried, tr[i].objective, refTr[i].seedsTried, refTr[i].objective)
-						}
-					}
-					if len(mm) != len(refMM) {
-						t.Fatalf("Parallelism=%d: blocked matching has %d edges, scalar path %d", par, len(mm), len(refMM))
-					}
-					for i := range mm {
-						if mm[i] != refMM[i] {
-							t.Fatalf("Parallelism=%d: matching edge %d is %v, scalar path %v", par, i, mm[i], refMM[i])
-						}
-					}
-					if len(is) != len(refIS) {
-						t.Fatalf("Parallelism=%d: blocked MIS has %d nodes, scalar path %d", par, len(is), len(refIS))
-					}
-					for i := range is {
-						if is[i] != refIS[i] {
-							t.Fatalf("Parallelism=%d: MIS node %d is %d, scalar path %d", par, i, is[i], refIS[i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestLowDegObjectiveKernelVsScalar pins the incident-count reformulation
-// of the Section 5 seed-search objective: the kernel path scores a
-// candidate seed as Σ_{w∈R} d(w) minus the R-internal edge correction over
-// R = I_h ∪ N(I_h) (touching only R), while the retained
-// core.Params.ScalarObjectives path still walks all of cur
-// (removedEdgesMasked). Both MIS and matching-via-line-graph run through
-// internal/lowdeg directly at Parallelism ∈ {1, 2, 8} and must reproduce
-// the full-scan reference bit for bit — same seeds tried, same phase
-// boundaries, same output sets.
-func TestLowDegObjectiveKernelVsScalar(t *testing.T) {
-	for _, w := range []struct {
-		family string
-		n      int
-		avgDeg int
-		seed   uint64
-	}{
-		{"regular", 384, 8, 5},
-		{"regular", 256, 12, 3},
-		{"grid", 400, 4, 2},
-		{"powerlaw", 320, 5, 7},
-	} {
-		t.Run(fmt.Sprintf("%s/n=%d", w.family, w.n), func(t *testing.T) {
-			g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalar := core.DefaultParams()
-			scalar.Parallelism = 1
-			scalar.ScalarObjectives = true
-			refIS := lowdeg.MIS(g, scalar, nil)
-			refMM := lowdeg.MaximalMatching(g, scalar, nil)
-			for _, par := range parallelismLevels {
-				kernel := core.DefaultParams()
-				kernel.Parallelism = par
-				is := lowdeg.MIS(g, kernel, nil)
-				if len(is.IndependentSet) != len(refIS.IndependentSet) || len(is.Phases) != len(refIS.Phases) {
-					t.Fatalf("Parallelism=%d: kernel MIS %d nodes/%d phases, scalar scan %d/%d",
-						par, len(is.IndependentSet), len(is.Phases), len(refIS.IndependentSet), len(refIS.Phases))
-				}
-				for i := range is.IndependentSet {
-					if is.IndependentSet[i] != refIS.IndependentSet[i] {
-						t.Fatalf("Parallelism=%d: MIS node %d is %d, scalar scan %d",
-							par, i, is.IndependentSet[i], refIS.IndependentSet[i])
-					}
-				}
-				for i := range is.Phases {
-					if is.Phases[i].SeedsTried != refIS.Phases[i].SeedsTried {
-						t.Fatalf("Parallelism=%d: phase %d tried %d seeds, scalar scan %d",
-							par, i, is.Phases[i].SeedsTried, refIS.Phases[i].SeedsTried)
-					}
-				}
-				mm := lowdeg.MaximalMatching(g, kernel, nil)
-				if len(mm.Matching) != len(refMM.Matching) {
-					t.Fatalf("Parallelism=%d: kernel matching %d edges, scalar scan %d",
-						par, len(mm.Matching), len(refMM.Matching))
-				}
-				for i := range mm.Matching {
-					if mm.Matching[i] != refMM.Matching[i] {
-						t.Fatalf("Parallelism=%d: matching edge %d is %v, scalar scan %v",
-							par, i, mm.Matching[i], refMM.Matching[i])
-					}
-				}
-			}
-		})
 	}
 }
 
