@@ -86,14 +86,15 @@ race:
 # serve package rides along: its tests byte-compare served responses
 # against direct Engine solves under concurrent mixed load, which is the
 # same contract one layer up. The kernel list pins the seed-search driver,
-# its sinks and the selection/kernel equivalences under -race.
+# its sinks and the selection/kernel equivalences (the shared-power k-wise
+# kernel's exactness bound and Horner equivalence included) under -race.
 #
 # Every name in a -run list must match a test of its packages: the
 # race-engine-names step checks each with `go test -list` first and fails
 # on a miss, so renaming a test can never silently shrink the gate.
 RACE_ENGINE_ROOT = TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestHashKernelMatchesScalarPath|TestBlockedKernelMatchesScalarPath|TestLowDegObjectiveKernelVsScalar|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood
-RACE_ENGINE_KERNEL_PKGS = ./internal/core/ ./internal/hashfam/ ./internal/condexp/ ./internal/matching/ ./internal/mis/ ./internal/lowdeg/ ./internal/sparsify/
+RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood|TestEvaluatorMatchesEval|TestLazyDotExactMatchesBound|TestPowerRowsLazySumMatchesEvalPoly
+RACE_ENGINE_KERNEL_PKGS = ./internal/core/ ./internal/hashfam/ ./internal/condexp/ ./internal/matching/ ./internal/mis/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/intmath/
 
 race-engine: race-engine-names
 	$(GO) test -race -timeout 30m -run '$(RACE_ENGINE_ROOT)' .
@@ -180,14 +181,16 @@ serve-compare:
 	@echo "serve-compare: diffing $(LOADGEN_OUT) against baseline $(LOADGEN_BASELINE)"
 	$(GO) run ./cmd/benchjson -input $(LOADGEN_OUT) -compare $(LOADGEN_BASELINE) -warn '$(LOADGEN_WARN)' -warn-pct 25
 
-# CPU profiles of the three selection-bound pipelines (T2 MIS, T5 lowdeg
-# stages, T7 seed-search terms) into the git-ignored profiles/ directory,
-# ready for `go tool pprof profiles/<name>.pprof`. CI archives the directory
+# CPU profiles of the sparsify-dominated T1 matching pipeline (where the
+# k-wise stage kernel lives) and the three selection-bound pipelines (T2
+# MIS, T5 lowdeg stages, T7 seed-search terms) into the git-ignored
+# profiles/ directory, ready for `go tool pprof profiles/<name>.pprof`. CI archives the directory
 # as an artifact so a perf regression surfaced by bench-compare comes with
 # the profile that explains it. The test binary lands in profiles/ too (pprof
 # wants it for symbolization).
 profile:
 	mkdir -p profiles
+	$(GO) test -bench 'BenchmarkT1_MatchingRounds' -benchtime 3x -benchmem -run '^$$' -cpuprofile profiles/t1_matching.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 3x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 3x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .

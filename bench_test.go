@@ -236,9 +236,37 @@ func BenchmarkEvalSeedsBlocked(b *testing.B) {
 				hi = batch
 			}
 			rows := tile.Rows(hi-lo, len(keys))
-			evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, rows)
+			evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, rows, &tile)
 		}
 	}
+}
+
+// BenchmarkEvalSeedsBlockedKWise is the k-wise rung of the kernel ladder:
+// one condexp.BlockSeeds group of 4-wise (KWise) seeds over a T1-sized
+// sparsify stage key vector — every edge of the T1 graph once per endpoint
+// in stage slot 1, as the type-A groups of the first edge stage hash them —
+// through the fold kernel the stage searches use (the fold callback is
+// empty, so only the hash term is timed). Reports ns/key·seed, the unit the
+// blocked pairwise rung and the perfbench trace share.
+func BenchmarkEvalSeedsBlockedKWise(b *testing.B) {
+	g := gen.GNM(1<<12, 8<<12, 1)
+	p := core.DefaultParams()
+	fam := core.KWiseFamily(g.N(), p.KWise)
+	evaluator := hashfam.NewEvaluator(fam)
+	keys := core.SlotKeysInto(nil, g.Edges(), 1, g.N())
+	keys = append(keys, keys...)
+	seeds := make([][]uint64, 0, condexp.BlockSeeds)
+	for enum := fam.Enumerate(); len(seeds) < condexp.BlockSeeds && enum.Next(); {
+		seeds = append(seeds, append([]uint64(nil), enum.Seed()...))
+	}
+	var tile hashfam.Tile
+	fold := func(lo, hi int, z [][]uint64) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluator.EvalSeedsBlockedFold(seeds, keys, &tile, fold)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seeds)*len(keys)), "ns/key·seed")
 }
 
 // selectNodes runs one full-vector node selection through the production

@@ -86,7 +86,17 @@
 // high-multiply Barrett path for m ≤ 2^32 — with a GOARCH-gated AVX2
 // assembly inner loop on amd64 and a pure-Go fallback elsewhere — a
 // branchless Montgomery path for odd m < 2^63, and Möller–Granlund wide
-// reduction for the rest. Every regime computes exactly the field values of
+// reduction for the rest. Within the block loop, the 4-wise (KWise) stage
+// families share key powers instead of running Horner per seed: x^2 and
+// x^3 are computed once per block and seed group (intmath.Reducer.PowerRows,
+// into the worker's tile), and each seed is the dot product
+// c_0 + c_1·x + c_2·x^2 + c_3·x^3 summed unreduced and reduced by ONE
+// Barrett step (Reducer.EvalPoly4Lazy) instead of three chained ones. The
+// lazy sum is exact while (p-1) + 3(p-1)² < 2^64 — p ≤ 2479700525, every
+// stage field SlotMax·n² up to n ≈ 6200 — which the Evaluator checks once
+// at construction (Reducer.LazyDotExact); larger fields, every other k and
+// the single-seed EvalKeys/EvalKeysW path keep the per-seed Horner loop.
+// Every regime computes exactly the field values of
 // hashfam.Family.Eval, fuzz-proven for the kernel; end to end,
 // scalar_reference_test.go pins outputs and seed trajectories to those the
 // retired per-item closure objectives recorded.

@@ -122,7 +122,7 @@ func (b *BlockSearch) Objective(keys []uint64) BatchObjective {
 			hi := min(lo+BlockSeeds, len(seeds))
 			w := b.pool.Get()
 			if rows := w.sink.Begin(hi - lo); rows != nil {
-				b.ev.EvalSeedsBlocked(seeds[lo:hi], keys, rows)
+				b.ev.EvalSeedsBlocked(seeds[lo:hi], keys, rows, &w.tile)
 			} else {
 				b.ev.EvalSeedsBlockedFold(seeds[lo:hi], keys, &w.tile, func(klo, khi int, z [][]uint64) {
 					for s := range hi - lo {

@@ -148,13 +148,15 @@ func checkDriver(t *testing.T, label string, d *BlockSearch, fam hashfam.Family,
 
 // driverFamilies covers pairwise and k-wise families in all three reducer
 // regimes: Barrett (p <= 2^32), Montgomery (odd p in (2^32, 2^63)) and the
-// wide 128-bit path (p > 2^63).
+// wide 128-bit path (p > 2^63). 2^31-1 puts the 4-wise shared-power kernel
+// near its exactness bound.
 var driverFamilies = []struct {
 	minField uint64
 	k        int
 }{
 	{1 << 20, 2},
 	{1 << 20, 4},
+	{(1 << 31) - 1, 4},
 	{(1 << 33) + 5, 2},
 	{(1 << 33) + 5, 4},
 	{(1 << 63) + 29, 2},
@@ -194,13 +196,23 @@ func TestBlockSearchMatchesPlainLoop(t *testing.T) {
 }
 
 // FuzzBlockSearchMatchesPlainLoop drives the same contract with arbitrary
-// fields, family widths, batch and key-vector lengths and worker counts.
+// fields, family widths, batch and key-vector lengths and worker counts;
+// adversarial sets every coefficient and key to p-1.
 func FuzzBlockSearchMatchesPlainLoop(f *testing.F) {
-	f.Add(uint64(1<<20), 2, 13, 1100, 2, int64(1))
-	f.Add(uint64(1<<33)+5, 4, 7, 513, 8, int64(2))
-	f.Add(uint64(1<<63)+29, 2, 64, 512, 1, int64(3))
-	f.Add(^uint64(0)-58, 3, 9, 70, 2, int64(4))
-	f.Fuzz(func(t *testing.T, minField uint64, k, nSeeds, nKeys, workers int, seed int64) {
+	f.Add(uint64(1<<20), 2, 13, 1100, 2, int64(1), false)
+	f.Add(uint64(1<<33)+5, 4, 7, 513, 8, int64(2), false)
+	f.Add(uint64(1<<63)+29, 2, 64, 512, 1, int64(3), false)
+	f.Add(^uint64(0)-58, 3, 9, 70, 2, int64(4), false)
+	// The shared-power kernel's boundaries: 2^31-1 (shared, near the
+	// bound), the smallest prime past the k = 4 bound (Horner), k = 3 and
+	// k = 8 over a shared-size field, ragged last blocks, and every
+	// coefficient and key at p-1.
+	f.Add(uint64(1<<31)-1, 4, 13, 1100, 2, int64(5), false)
+	f.Add(uint64(1<<31)-1, 4, 8, 515, 1, int64(6), true)
+	f.Add(uint64(2479700537), 4, 9, 700, 2, int64(7), false)
+	f.Add(uint64(1<<20), 3, 8, 1029, 2, int64(8), false)
+	f.Add(uint64(1<<20), 8, 5, 513, 1, int64(9), true)
+	f.Fuzz(func(t *testing.T, minField uint64, k, nSeeds, nKeys, workers int, seed int64, adversarial bool) {
 		if minField < 2 || k < 1 || k > 8 || nSeeds < 1 || nSeeds > 80 || nKeys < 0 || nKeys > 2048 || workers < 1 || workers > 8 {
 			return
 		}
@@ -209,6 +221,16 @@ func FuzzBlockSearchMatchesPlainLoop(f *testing.F) {
 		}
 		fam := hashfam.New(minField, k)
 		seeds, keys := randomSeedsKeys(rand.New(rand.NewSource(seed)), fam, nSeeds, nKeys)
+		if adversarial {
+			for _, s := range seeds {
+				for i := range s {
+					s[i] = fam.P() - 1
+				}
+			}
+			for i := range keys {
+				keys[i] = fam.P() - 1
+			}
+		}
 		for _, newSink := range []func() Sink{
 			func() Sink { return new(digestSink) },
 			func() Sink { return &rowDigestSink{nKeys: &nKeys} },

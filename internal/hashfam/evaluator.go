@@ -13,8 +13,13 @@ import (
 // Compared with calling Family.Eval once per key it (a) replaces every
 // per-coefficient 128/64-bit division with Barrett-style reciprocal
 // multiplication, (b) reduces the seed's coefficients once per EvalKeys call
-// instead of once per key, and (c) unrolls Horner for the ubiquitous
-// pairwise (k = 2) family of the matching/MIS selection steps.
+// instead of once per key, (c) unrolls Horner for the ubiquitous pairwise
+// (k = 2) family of the matching/MIS selection steps, and (d) in the
+// block-major multi-seed kernels, evaluates the 4-wise stage families
+// against key powers shared by the whole seed group, with one deferred
+// Barrett reduction per key·seed, whenever the field is small enough for
+// the unreduced sum to be exact (intmath.Reducer.LazyDotExact, checked
+// once here at construction; otherwise Horner).
 //
 // EvalKeys(seed, keys, out) is byte-identical to out[i] = Eval(seed, keys[i])
 // — the kernel is a speed change only, so every seed search that adopts it
@@ -26,6 +31,9 @@ import (
 type Evaluator struct {
 	fam Family
 	red intmath.Reducer
+	// shared selects the shared-power block kernel: a 4-wise family over a
+	// field where the unreduced dot product is exact (see evalBlocks).
+	shared bool
 }
 
 // NewEvaluator returns the evaluation kernel bound to f.
@@ -33,7 +41,8 @@ func NewEvaluator(f Family) *Evaluator {
 	if f.k < 1 {
 		panic("hashfam: NewEvaluator on zero Family")
 	}
-	return &Evaluator{fam: f, red: intmath.NewReducer(f.p)}
+	red := intmath.NewReducer(f.p)
+	return &Evaluator{fam: f, red: red, shared: f.k == 4 && red.LazyDotExact(f.k)}
 }
 
 // Family returns the bound family.
@@ -110,15 +119,16 @@ func (e *Evaluator) evalReduced(c, keys, out []uint64) {
 // seed, so blocking is unobservable in the results.
 const blockKeyGrain = 512
 
-// Tile is the reusable S×n output surface of the block-major kernel: S rows
-// sharing ONE backing slab, so a warm tile costs zero allocations no matter
-// how many rows a seed group asks for. EvalSeedsBlockedFold shapes it to one
-// key block per seed; callers that need full-length rows (the row sinks of
-// the sparse selection rounds) shape it with Rows. The zero value is ready
-// to use; a Tile belongs to one worker at a time.
+// Tile is the reusable scratch of the block-major kernel: the S×n output
+// surface — S rows sharing ONE backing slab, so a warm tile costs zero
+// allocations no matter how many rows a seed group asks for — plus the
+// key-power rows of the shared-power kernel. EvalSeedsBlockedFold shapes
+// the output to one key block per seed; callers that need full-length rows
+// (the row sinks of the sparse selection rounds) shape it with Rows. The
+// zero value is ready to use; a Tile belongs to one worker at a time.
 type Tile struct {
-	buf  []uint64
-	rows [][]uint64
+	out slab
+	pow slab
 }
 
 // Rows returns s row slices of n elements each, growing the backing slab and
@@ -126,15 +136,23 @@ type Tile struct {
 // Rows are disjoint views of one allocation (each capped at its own extent,
 // so an append cannot bleed into the next row); contents are whatever the
 // last user left — callers must fully overwrite.
-func (t *Tile) Rows(s, n int) [][]uint64 {
-	if need := s * n; cap(t.buf) < need {
-		t.buf = make([]uint64, need)
+func (t *Tile) Rows(s, n int) [][]uint64 { return t.out.shape(s, n) }
+
+// slab is one reusable row surface of a Tile.
+type slab struct {
+	buf  []uint64
+	rows [][]uint64
+}
+
+func (b *slab) shape(s, n int) [][]uint64 {
+	if need := s * n; cap(b.buf) < need {
+		b.buf = make([]uint64, need)
 	}
-	buf := t.buf[:cap(t.buf)]
-	if cap(t.rows) < s {
-		t.rows = make([][]uint64, s)
+	buf := b.buf[:cap(b.buf)]
+	if cap(b.rows) < s {
+		b.rows = make([][]uint64, s)
 	}
-	rows := t.rows[:s]
+	rows := b.rows[:s]
 	for i := range rows {
 		rows[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
@@ -149,6 +167,13 @@ func (t *Tile) Rows(s, n int) [][]uint64 {
 // group. Pairwise (k = 2) families run four seeds per inner loop through
 // intmath.Reducer.EvalPoly2x4, which keeps four independent Barrett chains
 // (or, on AVX2 hardware, four-key vector sweeps) in flight per block.
+// 4-wise families over a field where intmath.Reducer.LazyDotExact(4) holds
+// (every KWise = 4 stage field up to n ≈ 6200) share the key powers: x^2
+// and x^3 are computed once per block into the tile's power rows, and each
+// seed becomes a dot product c_0 + c_1·x + c_2·x^2 + c_3·x^3 summed
+// unreduced and reduced by ONE Barrett step, instead of Horner's three
+// chained ones. The Evaluator decides this once at construction from p and
+// k; larger fields and every other k keep the per-seed Horner loop.
 //
 // Each evaluated block is handed to fold(lo, hi, z) while cache-resident:
 // z[s][i] holds h_seeds[s](keys[lo+i]) for i < hi-lo. The rows live in tile
@@ -162,15 +187,17 @@ func (t *Tile) Rows(s, n int) [][]uint64 {
 //
 //det:hotpath
 func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile *Tile, fold func(lo, hi int, z [][]uint64)) {
-	e.evalBlocks(seeds, keys, tile.Rows(len(seeds), min(len(keys), blockKeyGrain)), false, fold)
+	e.evalBlocks(seeds, keys, tile.Rows(len(seeds), min(len(keys), blockKeyGrain)), e.powers(tile), false, fold)
 }
 
 // EvalSeedsBlocked is EvalSeedsBlockedFold writing every block straight
 // into full-length output rows: out[s][i] = h_seeds[s](keys[i]). Each of the
 // first len(seeds) rows of out must have at least len(keys) entries; dirty
-// contents and slots beyond len(keys) are never read. The seed searches'
-// row sinks (sparse selection rounds) are filled through it.
-func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]uint64) {
+// contents and slots beyond len(keys) are never read. tile supplies the
+// shared-power kernel's key-power rows (its output rows are not touched, so
+// out may be shaped from the same tile's Rows). The seed searches' row
+// sinks (sparse selection rounds) are filled through it.
+func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]uint64, tile *Tile) {
 	if len(out) < len(seeds) {
 		panic("hashfam: EvalSeedsBlocked with fewer output rows than seeds")
 	}
@@ -179,15 +206,25 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 			panic("hashfam: EvalSeedsBlocked output row shorter than key vector")
 		}
 	}
-	e.evalBlocks(seeds, keys, out, true, nil)
+	e.evalBlocks(seeds, keys, out, e.powers(tile), true, nil)
+}
+
+// powers returns the tile's key-power rows x^2 … x^(k-1) for one block when
+// the shared-power kernel applies, nil otherwise.
+func (e *Evaluator) powers(tile *Tile) [][]uint64 {
+	if !e.shared {
+		return nil
+	}
+	return tile.pow.shape(e.fam.k-2, blockKeyGrain)
 }
 
 // evalBlocks is the one block loop of both kernel forms. Block [lo, hi) of
 // seed s lands in rows[s][lo:hi] when full is set and in rows[s][:hi-lo]
-// otherwise; fold, when non-nil, runs after every block.
+// otherwise; fold, when non-nil, runs after every block. pow, when
+// non-nil, selects the shared-power kernel and holds its power rows.
 //
 //det:hotpath
-func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, rows [][]uint64, full bool, fold func(lo, hi int, z [][]uint64)) {
+func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, rows, pow [][]uint64, full bool, fold func(lo, hi int, z [][]uint64)) {
 	k := e.fam.k
 	S := len(seeds)
 	for _, seed := range seeds {
@@ -224,7 +261,13 @@ func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, rows [][]uint64,
 			a, b = lo, hi
 		}
 		s := 0
-		if k == 2 {
+		switch {
+		case pow != nil:
+			e.red.PowerRows(kb, pow)
+			for ; s < S; s++ {
+				e.red.EvalPoly4Lazy((*[4]uint64)(cs[s*4:]), kb, pow[0], pow[1], rows[s][a:b])
+			}
+		case k == 2:
 			for ; s+4 <= S; s += 4 {
 				var c0, c1 [4]uint64
 				for j := 0; j < 4; j++ {

@@ -27,6 +27,14 @@ import "math/bits"
 // to nothing over a key block. MulMod/Mod stay on the wide path, where a
 // one-shot call could not amortize the transform.
 //
+// The k-wise block kernel adds a lazy dot-product form on the small path:
+// with the key powers x^2 … x^(k-1) precomputed once per key block
+// (PowerRows), a degree-(k-1) polynomial is c_0 + Σ c_j·x^j summed in a
+// uint64 without intermediate reduction and reduced by one Barrett step at
+// the end (EvalPoly4Lazy, k = 4). That is exact only while
+// (m-1) + (k-1)(m-1)² < 2^64 (LazyDotExact); above the bound, and for
+// every other k, EvalPoly's per-step Horner reduction stays in use.
+//
 // Results are exactly (a·b) mod m and (a+b) mod m in every regime — the
 // Reducer is a speed change only, which is what lets the seed-search kernel
 // built on it keep the repository's bit-identical determinism contract.
@@ -413,5 +421,78 @@ func (r Reducer) EvalPoly(c []uint64, keys, out []uint64) {
 			}
 		}
 		out[i] = acc
+	}
+}
+
+// LazyDotExact reports whether the shared-power k-wise kernel is exact for
+// this modulus: a degree-(k-1) dot product c_0 + Σ_{j≥1} c_j·x^j of reduced
+// operands (every c_j and every power x^j below m) summed without any
+// intermediate reduction stays below 2^64, i.e.
+// (m-1) + (k-1)·(m-1)² < 2^64, so one reduce64 step at the end yields the
+// field value. The bound implies m ≤ 2^32 (the small path, whose
+// reciprocal reduce64 needs) for every k ≥ 2. For k = 4 it holds up to
+// m = 2479700525 — the KWise = 4 hash fields SlotMax·n² of graphs up to
+// n ≈ 6200 nodes.
+func (r Reducer) LazyDotExact(k int) bool {
+	if k < 2 {
+		return false
+	}
+	hi, sq := bits.Mul64(r.m-1, r.m-1)
+	if hi != 0 {
+		return false
+	}
+	hi, lo := bits.Mul64(uint64(k-1), sq)
+	if hi != 0 {
+		return false
+	}
+	_, carry := bits.Add64(lo, r.m-1, 0)
+	return carry == 0
+}
+
+// PowerRows fills the key-power rows of the shared-power kernel:
+// pow[j][i] = keys[i]^(j+2) mod m, so for a degree-(k-1) family pow holds
+// the k-2 rows x^2 … x^(k-1) (x^1 is the key row itself). Each row costs
+// one multiply and one branchless reduce64 step per key, chained off the
+// row before it. Small path only (m ≤ 2^32, as LazyDotExact guarantees);
+// keys must be < m and every row at least len(keys) long.
+//
+//det:hotpath
+func (r Reducer) PowerRows(keys []uint64, pow [][]uint64) {
+	m, rec := r.m, r.rec
+	prev := keys
+	for _, row := range pow {
+		row = row[:len(keys)]
+		prev = prev[:len(keys)]
+		for i, x := range keys {
+			p := prev[i] * x
+			q, _ := bits.Mul64(p, rec)
+			t := p - q*m - m
+			row[i] = t + (m & uint64(int64(t)>>63))
+		}
+		prev = row
+	}
+}
+
+// EvalPoly4Lazy writes out[i] = (c[0] + c[1]·keys[i] + c[2]·x2[i] +
+// c[3]·x3[i]) mod m, where x2 and x3 are the PowerRows of keys: one 4-wise
+// seed evaluated as a dot product against shared key powers. The sum is
+// formed unreduced and reduced ONCE — one Barrett step instead of Horner's
+// three chained ones — which is exact only when LazyDotExact(4) holds; the
+// caller checks that once per modulus. The final correction is branchless,
+// as in evalPoly2SmallGo. Coefficients must be < m; x2, x3 and out must be
+// at least len(keys) long. Results are bit-identical to EvalPoly.
+//
+//det:hotpath
+func (r Reducer) EvalPoly4Lazy(c *[4]uint64, keys, x2, x3, out []uint64) {
+	m, rec := r.m, r.rec
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	x2 = x2[:len(keys)]
+	x3 = x3[:len(keys)]
+	out = out[:len(keys)]
+	for i, x := range keys {
+		s := c0 + c1*x + c2*x2[i] + c3*x3[i]
+		q, _ := bits.Mul64(s, rec)
+		t := s - q*m - m
+		out[i] = t + (m & uint64(int64(t)>>63))
 	}
 }

@@ -1,6 +1,7 @@
 package intmath
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -101,6 +102,119 @@ func TestReducerEvalPolyMatchesScalar(t *testing.T) {
 					t.Fatalf("m=%d k=%d: key %d: got %d, want %d", m, k, x, out[i], want)
 				}
 			}
+		}
+	}
+}
+
+// Boundaries of the shared-power kernel's exactness test for k = 4:
+// (m-1) + 3(m-1)² < 2^64 holds for lazyMaxPrime4 and fails for
+// lazyMinFailPrime4, the next prime up.
+const (
+	lazyMaxPrime4     = 2479700513
+	lazyMinFailPrime4 = 2479700537
+)
+
+// TestLazyDotExactMatchesBound pins LazyDotExact to the exact-integer form
+// of its bound, (m-1) + (k-1)(m-1)² < 2^64, on the moduli the k = 4 kernel
+// pivots on and on every reducer boundary modulus.
+func TestLazyDotExactMatchesBound(t *testing.T) {
+	moduli := append([]uint64{(1 << 31) - 1, 1073741827, lazyMaxPrime4, lazyMaxPrime4 + 12, lazyMinFailPrime4}, reducerModuli...)
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, m := range moduli {
+		r := NewReducer(m)
+		for _, k := range []int{1, 2, 3, 4, 8} {
+			a := new(big.Int).SetUint64(m - 1)
+			sum := new(big.Int).Mul(a, a)
+			sum.Mul(sum, big.NewInt(int64(k-1)))
+			sum.Add(sum, a)
+			want := k >= 2 && sum.Cmp(two64) < 0
+			if got := r.LazyDotExact(k); got != want {
+				t.Fatalf("m=%d k=%d: LazyDotExact = %v, want %v", m, k, got, want)
+			}
+		}
+	}
+	if !NewReducer(lazyMaxPrime4).LazyDotExact(4) || NewReducer(lazyMinFailPrime4).LazyDotExact(4) {
+		t.Fatal("k = 4 bound does not fall between lazyMaxPrime4 and lazyMinFailPrime4")
+	}
+}
+
+// TestPowerRowsLazySumMatchesEvalPoly pins the shared-power kernel to the
+// Horner loop: PowerRows against PowMod for every row of a degree-7 family,
+// and PowerRows + EvalPoly4Lazy against EvalPoly for 4-wise seeds, on
+// moduli up to the k = 4 exactness bound, over ragged lengths, with dirty
+// outputs. The adversarial case sets every coefficient and key to m-1; a
+// final direct EvalPoly4Lazy call with every power row at m-1 as well hits
+// the maximal sum (m-1) + 3(m-1)², which is what the bound is about.
+func TestPowerRowsLazySumMatchesEvalPoly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []uint64{2, 3, 97, 1048583, 1073741827, (1 << 31) - 1, lazyMaxPrime4} {
+		r := NewReducer(m)
+		if !r.LazyDotExact(4) {
+			t.Fatalf("m=%d: outside the k = 4 bound", m)
+		}
+		for _, n := range []int{0, 1, 7, 512, 513} {
+			for _, adversarial := range []bool{false, true} {
+				keys := make([]uint64, n)
+				c := make([]uint64, 4)
+				for i := range keys {
+					keys[i] = rng.Uint64() % m
+				}
+				for i := range c {
+					c[i] = rng.Uint64() % m
+				}
+				if n > 1 {
+					keys[0], keys[1] = 0, m-1
+				}
+				if adversarial {
+					for i := range keys {
+						keys[i] = m - 1
+					}
+					for i := range c {
+						c[i] = m - 1
+					}
+				}
+				pow := make([][]uint64, 6)
+				for j := range pow {
+					pow[j] = make([]uint64, n+3) // longer than keys: the tail is never touched
+					for i := range pow[j] {
+						pow[j][i] = ^uint64(0)
+					}
+				}
+				r.PowerRows(keys, pow)
+				for j, row := range pow {
+					for i, x := range keys {
+						if want := PowMod(x, uint64(j+2), m); row[i] != want {
+							t.Fatalf("m=%d n=%d: key %d: power row x^%d = %d, want %d", m, n, x, j+2, row[i], want)
+						}
+					}
+					if row[n] != ^uint64(0) {
+						t.Fatalf("m=%d n=%d: power row x^%d written past len(keys)", m, n, j+2)
+					}
+				}
+				want := make([]uint64, n)
+				r.EvalPoly(c, keys, want)
+				got := make([]uint64, n)
+				for i := range got {
+					got[i] = 0xDEADBEEF
+				}
+				r.EvalPoly4Lazy((*[4]uint64)(c), keys, pow[0], pow[1], got)
+				for i, x := range keys {
+					if got[i] != want[i] {
+						t.Fatalf("m=%d n=%d adversarial=%v: key %d: lazy sum = %d, EvalPoly = %d", m, n, adversarial, x, got[i], want[i])
+					}
+				}
+			}
+		}
+		// Maximal sum: every operand at m-1, powers included.
+		top := []uint64{m - 1}
+		var out [1]uint64
+		r.EvalPoly4Lazy(&[4]uint64{m - 1, m - 1, m - 1, m - 1}, top, top, top, out[:])
+		a := new(big.Int).SetUint64(m - 1)
+		sum := new(big.Int).Mul(a, a)
+		sum.Mul(sum, big.NewInt(3))
+		sum.Add(sum, a)
+		if want := sum.Mod(sum, new(big.Int).SetUint64(m)).Uint64(); out[0] != want {
+			t.Fatalf("m=%d: maximal lazy sum reduced to %d, want %d", m, out[0], want)
 		}
 	}
 }

@@ -28,7 +28,8 @@ func TestRoundDeliversMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[int]uint64{}
+	// Machine bodies run concurrently: each writes only its own slot.
+	got := make([]uint64, 3)
 	err = c.Round("t", func(ctx *MachineCtx) {
 		if len(ctx.Inbox) != 1 || len(ctx.Inbox[0]) != 1 {
 			t.Errorf("machine %d inbox %v", ctx.ID, ctx.Inbox)
