@@ -22,8 +22,9 @@ latest-baseline = $(shell ls $(1) 2>/dev/null | LC_ALL=C sort | tail -1)
 BENCH_BASELINE ?= $(call latest-baseline,BENCH_2*.json)
 # Benchmarks whose ns/op regression beyond 20% draws a warning (never a
 # failure): the seed-search kernel, its isolated edge- and node-side
-# selection scans and blocked hash term, and the warm-Engine reuse pairs.
-BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan|BenchmarkLocalMinNodesSel|BenchmarkEvalSeedsBlocked|BenchmarkEngineReuse
+# selection scans and blocked hash term, the warm-Engine reuse pairs, and
+# the Section 5 preprocessing passes (G², L(G), Linial on G²).
+BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan|BenchmarkLocalMinNodesSel|BenchmarkEvalSeedsBlocked|BenchmarkEngineReuse|BenchmarkT5_Preprocess
 # Repetitions per benchmark for bench-smoke/bench-save: benchjson -median
 # collapses the runs into per-benchmark medians, so one noisy-runner outlier
 # out of three no longer reads as a regression in bench-compare.
@@ -87,14 +88,16 @@ race:
 # against direct Engine solves under concurrent mixed load, which is the
 # same contract one layer up. The kernel list pins the seed-search driver,
 # its sinks and the selection/kernel equivalences (the shared-power k-wise
-# kernel's exactness bound and Horner equivalence included) under -race.
+# kernel's exactness bound and Horner equivalence included) under -race,
+# and the sharded Section 5 preprocessing (CSR-direct G² and L(G), Linial
+# rounds, deterministic failure reports) against its serial references.
 #
 # Every name in a -run list must match a test of its packages: the
 # race-engine-names step checks each with `go test -list` first and fails
 # on a miss, so renaming a test can never silently shrink the gate.
 RACE_ENGINE_ROOT = TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestHashKernelMatchesScalarPath|TestBlockedKernelMatchesScalarPath|TestLowDegObjectiveKernelVsScalar|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood|TestEvaluatorMatchesEval|TestLazyDotExactMatchesBound|TestPowerRowsLazySumMatchesEvalPoly
-RACE_ENGINE_KERNEL_PKGS = ./internal/core/ ./internal/hashfam/ ./internal/condexp/ ./internal/matching/ ./internal/mis/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/intmath/
+RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood|TestEvaluatorMatchesEval|TestLazyDotExactMatchesBound|TestPowerRowsLazySumMatchesEvalPoly|TestSquareMatchesReference|TestLineGraphMatchesReference|FuzzSquareLineGraph|TestLinialMatchesReference|TestFailureReportDeterministic
+RACE_ENGINE_KERNEL_PKGS = ./internal/core/ ./internal/hashfam/ ./internal/condexp/ ./internal/matching/ ./internal/mis/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/intmath/ ./internal/graph/ ./internal/coloring/
 
 race-engine: race-engine-names
 	$(GO) test -race -timeout 30m -run '$(RACE_ENGINE_ROOT)' .

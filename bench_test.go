@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cclique"
+	"repro/internal/coloring"
 	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/detrand"
@@ -87,6 +88,48 @@ func BenchmarkT5_LowDegreeStages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lowdeg.MIS(g, p, nil)
+	}
+}
+
+// BenchmarkT5_Preprocess times the Section 5 preprocessing passes one by
+// one on the engine-lowdeg shape — random 4-regular G, n = 4096 — and on
+// its line graph L(G), the graph the matching path colours: squaring, the
+// line-graph construction and the G² Linial colouring (squaring, rounds
+// and distance-2 verification). Each reports ns per edge of its input.
+func BenchmarkT5_Preprocess(b *testing.B) {
+	g := gen.RandomRegular(1<<12, 4, 1)
+	lg, _ := g.LineGraph()
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{{"G", g}, {"LG", lg}}
+	perEdge := func(b *testing.B, h *graph.Graph) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*h.M()), "ns/edge")
+	}
+	for _, in := range inputs {
+		b.Run("Square/"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in.g.Square()
+			}
+			perEdge(b, in.g)
+		})
+	}
+	b.Run("LineGraph/G", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.LineGraph()
+		}
+		perEdge(b, g)
+	})
+	for _, in := range inputs {
+		b.Run("LinialG2/"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coloring.LinialG2(in.g, nil)
+			}
+			perEdge(b, in.g)
+		})
 	}
 }
 

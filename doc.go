@@ -130,6 +130,27 @@
 // pin the whole invariant against eager-reset references, including across
 // a forced wrap and across dirty fold-scratch reuse.
 //
+// The Section 5 path (internal/lowdeg) first colours G² with Linial's
+// O(Δ⁴)-colour reduction, checks the colouring, and measures the r-hop
+// balls; maximal matching does all of this on the line graph L(G). Each of
+// these steps is a flat CSR pass sharded over vertex (or edge) ranges on the
+// solve's workers, with no map and no global edge-list sort:
+// graph.SquareW gathers N(v) ∪ N(N(v)) through a per-worker epoch-stamped
+// mark table and lays G² out with a count pass, a prefix sum and a fill
+// pass. graph.LineGraphW derives edge ids from CSR positions (an upper
+// neighbour by per-node prefix and rank, a lower one by a binary search in
+// the neighbour's list) and fills each edge's L(G) row by merging its
+// endpoints' ascending id rows. coloring.LinialW keeps every node's colour
+// polynomial as one flat digit row, ping-pongs two colour buffers between
+// rounds (each node writes only its own next colour), and compacts through
+// a dense first-appearance table. coloring.VerifyDistance2W walks g's own
+// 2-hop neighbourhoods rather than trusting the squared graph, and the ball
+// scan sums degrees over unsorted BFS balls. Shard bodies never panic; a
+// failed check names the pair the serial scan would (lowest v, then lowest
+// u) at any worker count. The map- and Builder-based originals live on as
+// test references (internal/graph/square_test.go,
+// internal/coloring/reference_test.go) that pin the outputs bit for bit.
+//
 // # Request-scoped solves
 //
 // The Ctx entry points — (*Engine).MaximalMatchingCtx and

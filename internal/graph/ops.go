@@ -168,61 +168,155 @@ func (g *Graph) InducedNodesInto(keep []bool, workers int, dst *CSR) *Graph {
 // list of g: node i of L(G) corresponds to edges[i], and two L(G)-nodes are
 // adjacent iff the corresponding g-edges share an endpoint. A maximal
 // matching of g is exactly an MIS of L(G) (Section 5 of the paper uses this
-// reduction for small Δ).
-func (g *Graph) LineGraph() (*Graph, []Edge) {
+// reduction for small Δ). It runs at the pool's automatic worker count; use
+// LineGraphW to pin one.
+func (g *Graph) LineGraph() (*Graph, []Edge) { return g.LineGraphW(0) }
+
+// LineGraphW is LineGraph built directly into CSR on up to `workers` host
+// workers; the result is identical at any worker count.
+//
+// Edge ids come from CSR positions, with no edge-to-id lookup table. The
+// canonical list orders edges by (U, V), so node x's upper edges {x, u > x}
+// — the tail of its sorted neighbour list — hold the consecutive ids ending
+// just before upper[x+1], where upper is the prefix sum of upper-edge
+// counts: the edge in slot j of N(x) has id upper[x+1] - (d(x) - j) when
+// N(x)[j] > x, and a lower neighbour's id is found the same way from the
+// neighbour's side, after a binary search for x in its list. Along any
+// N(x) the ids therefore ascend, so the L(G) neighbour list of edge {u, v}
+// is the merge of the id rows of u and v without the edge itself (the two
+// rows share only that id), and its length d(u)+d(v)-2 is known up front:
+// one sharded pass assigns ids, a prefix sum lays out offsets, and one
+// sharded pass per edge fills its own range.
+func (g *Graph) LineGraphW(workers int) (*Graph, []Edge) {
+	n := g.N()
 	edges := g.Edges()
-	index := make(map[Edge]int32, len(edges))
-	for i, e := range edges {
-		index[e] = int32(i)
-	}
-	b := NewBuilder(len(edges))
-	// Edges incident to the same node are pairwise adjacent in L(G).
-	var ids []int32
-	for v := 0; v < g.N(); v++ {
+	m := len(edges)
+	upper := make([]int32, n+1)
+	parallel.ForEach(workers, n, func(v int) {
 		nbrs := g.Neighbors(NodeID(v))
-		ids = Grow(ids, len(nbrs))
-		for i, u := range nbrs {
-			ids[i] = index[Edge{NodeID(v), u}.Canon()]
+		lower, _ := slices.BinarySearch(nbrs, NodeID(v))
+		upper[v+1] = int32(len(nbrs) - lower)
+	})
+	for v := 0; v < n; v++ {
+		upper[v+1] += upper[v]
+	}
+	// eid[i] is the id of the edge in CSR slot i of g.
+	eid := make([]NodeID, len(g.adj))
+	parallel.ForEach(workers, n, func(v int) {
+		x := NodeID(v)
+		base := g.offsets[v]
+		nbrs := g.Neighbors(x)
+		for j, u := range nbrs {
+			if u > x {
+				eid[base+int32(j)] = upper[v+1] - int32(len(nbrs)-j)
+				continue
+			}
+			un := g.Neighbors(u)
+			k, _ := slices.BinarySearch(un, x)
+			eid[base+int32(j)] = upper[u+1] - int32(len(un)-k)
 		}
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				b.AddEdge(ids[i], ids[j])
+	})
+	offsets := make([]int32, m+1)
+	parallel.ForEach(workers, m, func(i int) {
+		offsets[i+1] = int32(g.Degree(edges[i].U) + g.Degree(edges[i].V) - 2)
+	})
+	for i := 0; i < m; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	adj := make([]NodeID, offsets[m])
+	parallel.ForEach(workers, m, func(i int) {
+		e, self := edges[i], NodeID(i)
+		a := eid[g.offsets[e.U]:g.offsets[e.U+1]]
+		b := eid[g.offsets[e.V]:g.offsets[e.V+1]]
+		w := offsets[i]
+		for len(a) > 0 || len(b) > 0 {
+			var id NodeID
+			if len(b) == 0 || (len(a) > 0 && a[0] < b[0]) {
+				id, a = a[0], a[1:]
+			} else {
+				id, b = b[0], b[1:]
+			}
+			if id != self {
+				adj[w] = id
+				w++
 			}
 		}
-	}
-	return b.Build(), edges
+	})
+	return &Graph{offsets: offsets, adj: adj, m: int(offsets[m]) / 2}, edges
 }
 
 // Square returns G², the graph on the same nodes where u ~ v iff their
 // distance in g is 1 or 2. Section 5 colours G² so that 2-hop neighbours get
-// distinct colours.
-func (g *Graph) Square() *Graph {
-	b := NewBuilder(g.N())
-	seen := make(map[int64]struct{})
-	addOnce := func(u, v NodeID) {
-		if u == v {
-			return
+// distinct colours. It runs at the pool's automatic worker count; use
+// SquareW to pin one.
+func (g *Graph) Square() *Graph { return g.SquareW(0) }
+
+// SquareW is Square built directly into CSR on up to `workers` host
+// workers; the result is identical at any worker count. Node v's G² list is
+// N(v) ∪ N(N(v)) \ {v} (at most Δ+Δ² entries), deduplicated through a
+// per-worker epoch-stamped mark table. A counting pass records each list's
+// length, a prefix sum lays out the offsets, and a fill pass regathers
+// each list into its own range and sorts it there — the filterCSRInto
+// layout, with no edge list and no global sort.
+func (g *Graph) SquareW(workers int) *Graph {
+	n := g.N()
+	scr := make([]twoHopScratch, parallel.Workers(workers))
+	offsets := make([]int32, n+1)
+	parallel.ForWorker(workers, n, func(w, lo, hi int) {
+		s := &scr[w]
+		for v := lo; v < hi; v++ {
+			offsets[v+1] = int32(len(s.gather(g, NodeID(v))))
 		}
-		a, c := u, v
-		if a > c {
-			a, c = c, a
-		}
-		k := int64(a)<<32 | int64(c)
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = struct{}{}
-		b.AddEdge(u, v)
+	})
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
 	}
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(NodeID(u)) {
-			addOnce(NodeID(u), v)
-			for _, w := range g.Neighbors(v) {
-				addOnce(NodeID(u), w)
+	adj := make([]NodeID, offsets[n])
+	parallel.ForWorker(workers, n, func(w, lo, hi int) {
+		s := &scr[w]
+		for v := lo; v < hi; v++ {
+			row := adj[offsets[v]:offsets[v+1]]
+			copy(row, s.gather(g, NodeID(v)))
+			slices.Sort(row)
+		}
+	})
+	return &Graph{offsets: offsets, adj: adj, m: int(offsets[n]) / 2}
+}
+
+// twoHopScratch is one worker's working state for one SquareW call: a
+// mark table stamped with the current centre's epoch (mark[w] == gen means
+// w is already in buf) and the gather buffer. A call gathers each of its
+// n < 2³¹ centres twice, so the uint32 epoch never wraps.
+type twoHopScratch struct {
+	mark []uint32
+	gen  uint32
+	buf  []NodeID
+}
+
+// gather returns N(v) ∪ N(N(v)) \ {v}, deduplicated, in first-visit
+// order. The slice aliases s.buf until the next call.
+func (s *twoHopScratch) gather(g *Graph, v NodeID) []NodeID {
+	if s.mark == nil {
+		s.mark = make([]uint32, g.N())
+	}
+	s.gen++
+	gen, mark := s.gen, s.mark
+	mark[v] = gen
+	buf := s.buf[:0]
+	for _, u := range g.Neighbors(v) {
+		if mark[u] != gen {
+			mark[u] = gen
+			buf = append(buf, u)
+		}
+		for _, w := range g.Neighbors(u) {
+			if mark[w] != gen {
+				mark[w] = gen
+				buf = append(buf, w)
 			}
 		}
 	}
-	return b.Build()
+	s.buf = buf
+	return buf
 }
 
 // BallScratch is the reusable working state of BallInto: a visited table
@@ -246,6 +340,15 @@ func (g *Graph) Ball(v NodeID, r int) []NodeID {
 // BallInto is Ball drawing all working state from s. The returned slice
 // aliases s.ball and is valid until the next call with the same scratch.
 func (g *Graph) BallInto(s *BallScratch, v NodeID, r int) []NodeID {
+	ball := g.BallBFSInto(s, v, r)
+	slices.Sort(ball)
+	return ball
+}
+
+// BallBFSInto is BallInto without the final sort: the ball comes back in
+// BFS order (v first, then by distance), for callers that only aggregate
+// over the set and need no order.
+func (g *Graph) BallBFSInto(s *BallScratch, v NodeID, r int) []NodeID {
 	n := g.N()
 	if len(s.dist) < n {
 		s.dist = make([]int32, n)
@@ -275,7 +378,6 @@ func (g *Graph) BallInto(s *BallScratch, v NodeID, r int) []NodeID {
 	for _, u := range ball {
 		s.dist[u] = -1
 	}
-	slices.Sort(ball)
 	s.ball = ball
 	return ball
 }
@@ -287,7 +389,7 @@ func (g *Graph) BallSizeMax(r int) int {
 	s := new(BallScratch)
 	max := 0
 	for v := 0; v < g.N(); v++ {
-		if l := len(g.BallInto(s, NodeID(v), r)); l > max {
+		if l := len(g.BallBFSInto(s, NodeID(v), r)); l > max {
 			max = l
 		}
 	}

@@ -26,6 +26,7 @@ package lowdeg
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/coloring"
 	"repro/internal/condexp"
@@ -189,7 +190,7 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	res := &Result{}
 
 	// Preprocessing: colouring and r-hop collection.
-	col := coloring.LinialG2(g, model)
+	col := coloring.LinialG2W(g, model, p.Workers())
 	res.Colors = col.NumColors
 	res.ColoringRounds = col.Rounds
 
@@ -405,7 +406,7 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 			inner(ev)
 		}
 	}
-	lg, edges := g.LineGraph()
+	lg, edges := g.LineGraphW(p.Workers())
 	misRes := MISIn(sc, lg, p, model)
 	out := &MatchingResult{MIS: misRes}
 	for _, v := range misRes.IndependentSet {
@@ -416,24 +417,23 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 
 // maxBallWords returns the largest r-hop ball size in words (2 per edge
 // endpoint entry), the quantity a machine must hold after collection. Each
-// ball enumeration is independent, so the scan map-reduces over vertex
-// shards (this is the dominant preprocessing cost of the Section 5 path);
-// each worker reuses one BFS scratch across its centres.
+// ball enumeration is independent, so the scan shards over vertex ranges;
+// each worker reuses one BFS scratch across its centres and keeps its own
+// running max (max is order-free, so the fold is deterministic). Only the
+// degree sum over the ball matters, so the ball is taken unsorted.
 func maxBallWords(g *graph.Graph, r, workers int) int {
-	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
-		bs := pool.Get()
-		max := 0
+	w := parallel.Workers(workers)
+	scr := make([]graph.BallScratch, w)
+	maxes := make([]int, w)
+	parallel.ForWorker(workers, g.N(), func(wk, lo, hi int) {
+		bs := &scr[wk]
 		for v := lo; v < hi; v++ {
 			words := 0
-			for _, u := range g.BallInto(bs, graph.NodeID(v), r) {
+			for _, u := range g.BallBFSInto(bs, graph.NodeID(v), r) {
 				words += 1 + g.Degree(u)
 			}
-			if words > max {
-				max = words
-			}
+			maxes[wk] = max(maxes[wk], words)
 		}
-		pool.Put(bs)
-		return max
 	})
+	return slices.Max(maxes)
 }

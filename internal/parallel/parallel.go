@@ -94,6 +94,20 @@ func For(workers, n int, body func(shard, lo, hi int)) {
 	})
 }
 
+// ForWorker is For for bodies that keep per-worker scratch: body also
+// receives the index of the pool goroutine running the shard, in
+// [0, Workers(workers)), and each goroutine runs its shards one at a time,
+// so scratch[worker] needs no synchronisation. Which goroutine runs which
+// shard depends on scheduling, so worker-indexed state must hold scratch
+// only — never anything that reaches a result. Callers size their scratch
+// table with Workers(workers) once, before the fan-out.
+func ForWorker(workers, n int, body func(worker, lo, hi int)) {
+	shards := Shards(n, defaultShards)
+	runShards(workers, len(shards), func(w, s int) {
+		body(w, shards[s].Lo, shards[s].Hi)
+	})
+}
+
 // defaultShards is the fixed shard count used by For/MapReduce/Collect. It
 // must not depend on the worker count (shard boundaries define fold order,
 // and fold order defines the bits of floating-point reductions); it is set
@@ -107,13 +121,19 @@ const defaultShards = 64
 // underneath For/MapReduce, useful when the caller has pre-computed shard
 // descriptors (e.g. machine ids, degree-balanced vertex ranges).
 func RunShards(workers, shards int, body func(s int)) {
+	runShards(workers, shards, func(_, s int) { body(s) })
+}
+
+// runShards is RunShards passing each body the index of the pool goroutine
+// running it, in [0, Workers(workers)) (0 on the serial path).
+func runShards(workers, shards int, body func(worker, s int)) {
 	w := Workers(workers)
 	if w > shards {
 		w = shards
 	}
 	if w <= 1 {
 		for s := 0; s < shards; s++ {
-			body(s)
+			body(0, s)
 		}
 		return
 	}
@@ -128,7 +148,7 @@ func RunShards(workers, shards int, body func(s int)) {
 				if s >= shards {
 					return
 				}
-				body(s)
+				body(i, s)
 			}
 		}()
 	}

@@ -187,3 +187,38 @@ func TestRunShardsBoundsConcurrency(t *testing.T) {
 		t.Fatalf("observed %d concurrent bodies with workers=3", p)
 	}
 }
+
+// TestForWorkerIndexExclusive checks the per-worker scratch contract of
+// ForWorker: every worker index lies in
+// [0, Workers(workers)), no two bodies run under the same index at once,
+// the serial path uses index 0, and every index is still covered once.
+func TestForWorkerIndexExclusive(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		w := Workers(workers)
+		busy := make([]atomic.Int32, w)
+		seen := make([]atomic.Int32, 1000)
+		ForWorker(workers, len(seen), func(wk, lo, hi int) {
+			if wk < 0 || wk >= w {
+				t.Errorf("workers=%d: worker index %d outside [0,%d)", workers, wk, w)
+				return
+			}
+			if busy[wk].Add(1) != 1 {
+				t.Errorf("workers=%d: worker index %d used by two bodies at once", workers, wk)
+			}
+			for i := lo; i < hi; i++ {
+				seen[i].Add(1)
+			}
+			busy[wk].Add(-1)
+		})
+		for i := range seen {
+			if seen[i].Load() != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, seen[i].Load())
+			}
+		}
+	}
+	ForWorker(1, 500, func(wk, _, _ int) {
+		if wk != 0 {
+			t.Errorf("serial path ran under worker index %d", wk)
+		}
+	})
+}
