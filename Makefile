@@ -96,7 +96,7 @@ race:
 # race-engine-names step checks each with `go test -list` first and fails
 # on a miss, so renaming a test can never silently shrink the gate.
 RACE_ENGINE_ROOT = TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestHashKernelMatchesScalarPath|TestBlockedKernelMatchesScalarPath|TestLowDegObjectiveKernelVsScalar|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood|TestEvaluatorMatchesEval|TestLazyDotExactMatchesBound|TestPowerRowsLazySumMatchesEvalPoly|TestSquareMatchesReference|TestLineGraphMatchesReference|FuzzSquareLineGraph|TestLinialMatchesReference|TestFailureReportDeterministic
+RACE_ENGINE_KERNEL = TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestCompactRoundMatchesEager|FuzzSelectionStampedMatchesEager|TestInducedNodesMatchesRankedReference|FuzzInducedNodesMatchesRankedReference|FuzzFromEdgesSortedMatchesReference|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestBlockSearchMatchesPlainLoop|FuzzBlockSearchMatchesPlainLoop|TestSinkMatchesClosureReference|TestStageSinkMatchesCountGood|TestEvaluatorMatchesEval|TestLazyDotExactMatchesBound|TestPowerRowsLazySumMatchesEvalPoly|TestSquareMatchesReference|TestLineGraphMatchesReference|FuzzSquareLineGraph|TestLinialMatchesReference|TestFailureReportDeterministic
 RACE_ENGINE_KERNEL_PKGS = ./internal/core/ ./internal/hashfam/ ./internal/condexp/ ./internal/matching/ ./internal/mis/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/intmath/ ./internal/graph/ ./internal/coloring/
 
 race-engine: race-engine-names

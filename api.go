@@ -70,8 +70,10 @@ type Options struct {
 	// and a negative Parallelism below) fail the solve with
 	// ErrInvalidOptions.
 	Epsilon float64
-	// Slack relaxes the asymptotic concentration constants (DESIGN.md
-	// substitution 4). Must be positive.
+	// Slack multiplies the concentration deviation terms of the
+	// sparsification's goodness predicates: the paper's constants only
+	// bind asymptotically, and the default 4 keeps the predicates
+	// meaningful at laptop scale. Must be positive.
 	Slack float64
 	// ThresholdFrac is the fraction of each proven expectation bound the
 	// deterministic seed search must reach, in (0, 1].
@@ -141,7 +143,7 @@ func (o *Options) trackCosts() bool {
 }
 
 // CostReport summarises the MPC execution costs of a run under the paper's
-// accounting (see internal/simcost and DESIGN.md).
+// accounting (see internal/simcost).
 type CostReport struct {
 	Rounds           int
 	Machines         int

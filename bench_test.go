@@ -1,7 +1,7 @@
 package repro
 
-// The benchmark harness: one benchmark per reproduction table/figure (see
-// DESIGN.md's per-experiment index and EXPERIMENTS.md). Each benchmark
+// The benchmark harness: one benchmark per reproduction table/figure (the
+// experiment registry in internal/experiments). Each benchmark
 // times the end-to-end computation behind its experiment at quick scale;
 // `go run ./cmd/experiments` regenerates the actual tables.
 
@@ -151,29 +151,33 @@ type seedSearchSink struct{ core.EdgeSink }
 
 func (k *seedSearchSink) Value(s int) int64 { return int64(len(k.Select(s))) }
 
+// compactEStar returns the round-1 E* of the T7 graph the way the matching
+// round selects on it: its edge list relabelled onto its endpoints (the
+// subgraph induced on them, compact ids in id order), plus the global edge
+// list whose slot keys the kernel hashes.
+func compactEStar(g *graph.Graph) (global, compact []graph.Edge, k int) {
+	estar := sparsify.SparsifyEdges(g, core.DefaultParams(), nil).EStar
+	var ids []graph.NodeID
+	for v := 0; v < estar.N(); v++ {
+		if estar.Degree(graph.NodeID(v)) > 0 {
+			ids = append(ids, graph.NodeID(v))
+		}
+	}
+	return estar.Edges(), estar.InducedNodes(ids).Edges(), len(ids)
+}
+
 // BenchmarkT7_SeedSearch times the batched deterministic seed search in
 // isolation: evaluating 64 candidate seeds of the matching-selection
 // objective over a fixed edge set (one charged O(1)-round batch), exactly as
-// the production searches do it — the slot-0 edge keys and the selection
-// plan are precomputed once per round (core.EdgeSel), and the batch runs
-// through the one seed-search driver (condexp.BlockSearch: BlockSeeds-sized
-// seed groups per cache-resident key block) on warm pooled sinks. The two
-// sub-benchmarks pin the two kinds of core.EdgeSink, each asserting the
-// branch it times: Fold is the round-1 E* of the graph (dense, every
-// evaluated block folded into per-node minimum tables), Rows keeps every
-// 16th edge of it (sparse, the kernel fills full-length rows that the
-// stamped LocalMinEdgesSel then scans).
+// the production searches do it — the slot-0 keys of the global edges and
+// the selection plan over E* on compact ids are precomputed once per round
+// (core.EdgeSel), and the batch runs through the one seed-search driver
+// (condexp.BlockSearch: BlockSeeds-sized seed groups) on warm pooled
+// core.EdgeSink row sinks, whose rows the kernel fills for LocalMinEdgesSel.
 func BenchmarkT7_SeedSearch(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
-	p := core.DefaultParams()
-	sp := sparsify.SparsifyEdges(g, p, nil)
-	estar := sp.EStar.Edges()
-	var sparse []graph.Edge
-	for i := 0; i < len(estar); i += 16 {
-		sparse = append(sparse, estar[i])
-	}
+	global, compact, k := compactEStar(g)
 	fam := core.PairwiseFamily(g.N())
-	n := g.N()
 	// Seeds are materialized into a flat buffer per batch exactly as
 	// condexp.SearchAtLeastBatch does it.
 	const batch = 64
@@ -186,52 +190,34 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 		copy(s, enum.Seed())
 		seeds[i] = s
 	}
-	for _, bc := range []struct {
-		name  string
-		edges []graph.Edge
-		fold  bool
-	}{
-		{"Fold", estar, true},
-		{"Rows", sparse, false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			keys := core.SlotKeysInto(make([]uint64, 0, len(bc.edges)), bc.edges, 0, n)
-			var sel core.EdgeSel
-			core.EdgeSelInit(&sel, n, bc.edges, make([]uint64, 0, len(bc.edges)), fam.P()-1)
-			if sel.Fold() != bc.fold {
-				b.Fatalf("%d edges over %d nodes: sel.Fold() = %v, want %v", len(bc.edges), n, sel.Fold(), bc.fold)
-			}
-			driver := condexp.NewBlockSearch(hashfam.NewEvaluator(fam), 1, func() condexp.Sink {
-				return &seedSearchSink{core.EdgeSink{Sel: &sel}}
-			})
-			objective := driver.Objective(keys)
-			values := make([]int64, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				objective(seeds, values)
-			}
-		})
+	keys := core.SlotKeysInto(make([]uint64, 0, len(global)), global, 0, g.N())
+	var sel core.EdgeSel
+	core.EdgeSelInit(&sel, k, compact, make([]uint64, 0, len(compact)), fam.P()-1)
+	driver := condexp.NewBlockSearch(hashfam.NewEvaluator(fam), 1, func() condexp.Sink {
+		return &seedSearchSink{core.EdgeSink{Sel: &sel}}
+	})
+	objective := driver.Objective(keys)
+	values := make([]int64, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		objective(seeds, values)
 	}
 }
 
 // BenchmarkT7_SelectionScan isolates the selection term of the seed search
-// — the post-hash local-minimum scan that dominated T7 before the
-// epoch-stamped tables: 64 LocalMinEdgesSel passes over a fixed E* and z
-// vector on warm scratch. bench-compare tracks it alongside
-// BenchmarkT7_SeedSearch so a regression in the scan is attributable
-// separately from the hash kernel.
+// — the post-hash local-minimum scan: 64 LocalMinEdgesSel passes over the
+// fixed compact E* and z vector on warm scratch. bench-compare tracks it
+// alongside BenchmarkT7_SeedSearch so a regression in the scan is
+// attributable separately from the hash kernel.
 func BenchmarkT7_SelectionScan(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
-	p := core.DefaultParams()
-	sp := sparsify.SparsifyEdges(g, p, nil)
-	edges := sp.EStar.Edges()
+	global, compact, k := compactEStar(g)
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
-	n := g.N()
-	keys := core.SlotKeysInto(make([]uint64, 0, len(edges)), edges, 0, n)
+	keys := core.SlotKeysInto(make([]uint64, 0, len(global)), global, 0, g.N())
 	var sel core.EdgeSel
-	core.EdgeSelInit(&sel, n, edges, make([]uint64, 0, len(edges)), fam.P()-1)
+	core.EdgeSelInit(&sel, k, compact, make([]uint64, 0, len(compact)), fam.P()-1)
 	z := make([]uint64, len(keys))
 	e := fam.Enumerate()
 	e.Next()
@@ -313,106 +299,63 @@ func BenchmarkEvalSeedsBlockedKWise(b *testing.B) {
 }
 
 // selectNodes runs one full-vector node selection through the production
-// sink dispatch (core.NodeSink): flat NodeFold tables on dense rounds, a
-// filled row and the epoch-stamped scan otherwise.
+// row sink (core.NodeSink), the way the driver hands it a one-seed group.
 func selectNodes(k *core.NodeSink, g *graph.Graph, z []uint64) []graph.NodeID {
-	if rows := k.Begin(1); rows != nil {
-		copy(rows[0], z)
-	} else {
-		k.Fold(0, 0, len(z), z)
-	}
+	copy(k.Begin(1)[0], z)
 	return k.Select(g, 0)
+}
+
+// nodeRound is a node selection round of the T7 workload: the live
+// candidates keep(v) of the T7 graph, their slot-0 plan, the induced
+// selection graph on compact ids, and one seed's z vector over it.
+func nodeRound(keep func(v int) bool) (*core.NodeSel, *graph.Graph, []uint64) {
+	g := gen.GNM(1<<12, 8<<12, 1)
+	n := g.N()
+	fam := core.PairwiseFamily(n)
+	var ids []graph.NodeID
+	for v := 0; v < n; v++ {
+		if keep(v) {
+			ids = append(ids, graph.NodeID(v))
+		}
+	}
+	sel := new(core.NodeSel)
+	sel.Init(ids, func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }, fam.P()-1)
+	z := make([]uint64, len(sel.Keys()))
+	e := fam.Enumerate()
+	e.Next()
+	hashfam.NewEvaluator(fam).EvalKeys(e.Seed(), sel.Keys(), z)
+	return sel, g.InducedNodes(ids), z
 }
 
 // BenchmarkT7_NodeSelectionScan isolates the node-side selection term of the
 // seed searches (the scan the MIS and lowdeg objectives run per candidate
-// seed): 64 selections over a fixed live set and z vector on warm scratch,
-// through the production core.NodeSink — which on this dense round takes
-// the NodeFold flat-table path (round-wiped tables, one-word
-// neighbour probes). bench-compare tracks it alongside
-// BenchmarkT7_SelectionScan so the node and edge scan disciplines are
+// seed): 64 selections over a fully live round's fixed z vector on warm
+// scratch, through the production core.NodeSink. bench-compare tracks it
+// alongside BenchmarkT7_SelectionScan so the node and edge scans are
 // attributable separately.
 func BenchmarkT7_NodeSelectionScan(b *testing.B) {
-	g := gen.GNM(1<<12, 8<<12, 1)
-	n := g.N()
-	fam := core.PairwiseFamily(n)
-	evaluator := hashfam.NewEvaluator(fam)
-	inQ := make([]bool, n)
-	for v := range inQ {
-		inQ[v] = true
-	}
-	var sel core.NodeSel
-	sel.Init(n, inQ, func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }, fam.P()-1)
-	if !sel.Dense() {
-		b.Fatal("workload unexpectedly not dense")
-	}
-	z := make([]uint64, len(sel.Keys()))
-	e := fam.Enumerate()
-	e.Next()
-	evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
-	k := core.NodeSink{Sel: &sel}
+	sel, q, z := nodeRound(func(int) bool { return true })
+	k := core.NodeSink{Sel: sel}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for count := 0; count < 64; count++ {
-			selectNodes(&k, g, z)
+			selectNodes(&k, q, z)
 		}
 	}
 }
 
-// BenchmarkLocalMinNodesSel times one selection pass per discipline on the
-// T7 workload: Dense runs the NodeFold flat-table path over a fully live
-// round, Sparse the epoch-stamped scan over a 1/8-density live set (below
-// the Dense gate), both through the production core.NodeSink dispatch.
-// DenseStamped forces the SAME fully-live round through the epoch-stamped
-// LocalMinNodesSel entry, so the flat-table rebuild's speedup on dense
-// rounds (Dense vs DenseStamped) stays measured in every saved baseline.
+// BenchmarkLocalMinNodesSel times one LocalMinNodesSel pass on a shrunken
+// round of the T7 workload: every 8th node live, selected on the subgraph
+// induced on them, relabelled onto compact ids as the round loops build it.
 func BenchmarkLocalMinNodesSel(b *testing.B) {
-	g := gen.GNM(1<<12, 8<<12, 1)
-	n := g.N()
-	fam := core.PairwiseFamily(n)
-	evaluator := hashfam.NewEvaluator(fam)
-	run := func(b *testing.B, keep func(v int) bool, wantDense bool) {
-		inQ := make([]bool, n)
-		for v := range inQ {
-			inQ[v] = keep(v)
-		}
-		var sel core.NodeSel
-		sel.Init(n, inQ, func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }, fam.P()-1)
-		if sel.Dense() != wantDense {
-			b.Fatalf("Dense() = %v, want %v", sel.Dense(), wantDense)
-		}
-		z := make([]uint64, len(sel.Keys()))
-		e := fam.Enumerate()
-		e.Next()
-		evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
-		k := core.NodeSink{Sel: &sel}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			selectNodes(&k, g, z)
-		}
+	sel, q, z := nodeRound(func(v int) bool { return v%8 == 0 })
+	var dst []graph.NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = core.LocalMinNodesSel(dst, q, sel, z)
 	}
-	b.Run("Dense", func(b *testing.B) { run(b, func(v int) bool { return true }, true) })
-	b.Run("Sparse", func(b *testing.B) { run(b, func(v int) bool { return v%8 == 0 }, false) })
-	b.Run("DenseStamped", func(b *testing.B) {
-		inQ := make([]bool, n)
-		for v := range inQ {
-			inQ[v] = true
-		}
-		var sel core.NodeSel
-		sel.Init(n, inQ, func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }, fam.P()-1)
-		z := make([]uint64, len(sel.Keys()))
-		e := fam.Enumerate()
-		e.Next()
-		evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
-		var dst []graph.NodeID
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = core.LocalMinNodesSel(dst, g, &sel, z)
-		}
-	})
 }
 
 // BenchmarkT8_Lemma4Primitives times the message-level sample sort plus

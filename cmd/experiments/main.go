@@ -1,5 +1,6 @@
 // Command experiments regenerates the reproduction tables and figures
-// indexed in DESIGN.md (T1..T9, F1, F2) and described in EXPERIMENTS.md.
+// registered in internal/experiments (T1..T9, F1, F2, ablations A1..A5);
+// each table's notes state the paper claim it checks.
 //
 // Usage:
 //

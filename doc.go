@@ -68,15 +68,14 @@
 // and runs the one block-major kernel loop of hashfam.Evaluator, which walks
 // the key vector in cache-resident 512-key blocks and evaluates every seed
 // of the group against a block before moving on (key loads amortized
-// S-fold). The sinks come in two kinds, chosen per round by what Begin
-// returns. Fold sinks get each evaluated block while it is still in cache
-// (EvalSeedsBlockedFold): flat per-seed selection tables (core.NodeFold /
-// core.EdgeFold, behind core.NodeSink / core.EdgeSink) on dense rounds, and
-// per-seed goodness cursors in internal/sparsify (branchless scans judged
-// against acceptance intervals precomputed once per stage). Row sinks, used
-// on sparse selection rounds, hand the driver pooled full-length rows that
-// the kernel fills directly (EvalSeedsBlocked), and run the epoch-stamped
-// selection in Value. Both kinds see exactly the
+// S-fold). The sinks come in two kinds, chosen by what Begin returns. Fold
+// sinks get each evaluated block while it is still in cache
+// (EvalSeedsBlockedFold): the per-seed goodness cursors of the
+// sparsification stages in internal/sparsify (branchless scans judged
+// against acceptance intervals precomputed once per stage). Row sinks —
+// the selection sinks core.NodeSink and core.EdgeSink — hand the driver
+// pooled rows that the kernel fills directly (EvalSeedsBlocked), and run
+// the selection in Value. Both kinds see exactly the
 // values a plain z[i] = Family.Eval(seed, keys[i]) loop produces, in key
 // order, so the choice is a speed decision only (condexp's driver table and
 // fuzz test pin it). The one single-seed evaluation per round — applying
@@ -101,34 +100,28 @@
 // scalar_reference_test.go pins outputs and seed trajectories to those the
 // retired per-item closure objectives recorded.
 //
-// The selection side of that path picks its table discipline per round, for
-// edges and nodes alike. Dense rounds — the live set covers at least a
-// quarter of the id space and the packed (z, id) keys sit strictly below
-// the all-ones sentinel — use flat tables: one word per id, wiped to the
-// sentinel (intmath.Fill64) and fed by the fold scatter, so the selection
-// scan probes ONE word per neighbour or endpoint instead of a stamp, a
-// position and a key reassembly. Node tables (core.NodeFold) are wiped once
-// per ROUND, not per seed — within a round every seed's scatter plainly
-// overwrites the fixed live set and dead slots keep the sentinel — while
-// edge tables (core.EdgeFold, minimum accumulators) rewipe per seed group;
-// node survivors are compacted branchlessly (unconditional store,
-// flag-advanced cursor), and the matched edges are recovered from mutual
-// table pointers in canonical order. Sparse rounds instead go
-// epoch-stamped: the tables carry a stamp array plus a generation counter,
-// a slot being meaningful only when its stamp equals the current
-// generation. Each per-seed evaluation advances the generation instead of
-// clearing the tables, so its cost is proportional to the touched set —
-// the round's edges and candidates — not to the id space.
-// Results stay bit-identical across any reuse because a new generation
-// makes every old slot unreadable at O(1) cost, and when the uint32 counter
-// wraps the stamp array is hard-reset over its full capacity with the
-// counter restarting at 1 (zero is never a live generation), so a stale
-// stamp can never collide with a recycled one. The epoch state lives in
-// Reset-surviving slots of the pooled scratch contexts, which is what keeps
-// warm re-solves allocation-flat; internal/core/selection_equiv_test.go and
-// the dense/stamped/eager equivalence tables (internal/core/fold_test.go)
-// pin the whole invariant against eager-reset references, including across
-// a forced wrap and across dirty fold-scratch reuse.
+// The selection side of that path runs every round on compact ids: each
+// round loop relabels its selection graph onto ids 0..k-1 of its live set,
+// in id order. The MIS round selects on Q' as the sparsifier builds it (the
+// subgraph induced on the ascending Q' list, graph.InducedNodesInto); the
+// matching round ranks E*'s endpoints and selects on the relabelled edge
+// list, while the kernel still hashes the global edges' slot keys; and the
+// Section 5 phase graph is itself the compact induced subgraph on the
+// surviving nodes, rebuilt as nodes leave. Because the relabelling keeps id
+// order, every (z, id) comparison — so every selection, seed trajectory and
+// observer event — is bit-identical to selecting on the solve's ids, while
+// a seed's work is proportional to the round's live set. The selection
+// state is flat: the node scan (core.LocalMinNodesSel) reads each
+// neighbour's z straight from the row by compact id, and the edge selection
+// (core.LocalMinEdgesSel) wipes one word per endpoint to the all-ones
+// sentinel (intmath.Fill64), min-merges the edges' (z, key) words into it
+// and compacts the argmin edges branchlessly. Keys pack into one word
+// whenever the field allows, with a two-word ZKey fallback for fields too
+// wide to pack. The selection scratch lives in Reset-surviving slots of the
+// pooled scratch contexts, which keeps warm re-solves allocation-flat;
+// internal/core/selection_equiv_test.go pins the selections — on dirty,
+// reused scratch and on compact rounds mapped back — against eager
+// references on the original ids.
 //
 // The Section 5 path (internal/lowdeg) first colours G² with Linial's
 // O(Δ⁴)-colour reduction, checks the colouring, and measures the r-hop
@@ -304,8 +297,8 @@
 // colouring of G² (internal/coloring), the CONGESTED CLIQUE layer
 // (internal/cclique), randomized baselines (internal/luby), the shared
 // host-parallel execution pool (internal/parallel) and the experiment suite
-// reproducing every claim (internal/experiments, see DESIGN.md and
-// EXPERIMENTS.md).
+// reproducing every claim (internal/experiments, run by cmd/experiments;
+// each table's notes state the paper claim it checks).
 //
 // # Parallel execution
 //

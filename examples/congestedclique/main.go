@@ -1,7 +1,8 @@
 // CONGESTED CLIQUE example (Corollary 2): run the deterministic MIS in the
 // CC model on bounded-degree graphs and compare its O(log Δ) round count
 // against the prior state of the art, the O(log Δ·log n) derandomization of
-// Censor-Hillel et al. [15] (round-accounting baseline; see DESIGN.md).
+// Censor-Hillel et al. [15] (round-accounting baseline; see
+// internal/cclique.CH15Rounds).
 //
 // Run with: go run ./examples/congestedclique
 package main

@@ -6,7 +6,7 @@ package repro
 // testdata/golden/ per graph family and strategy, alongside the randomized
 // luby baselines under a pinned detrand seed. Every algorithmic change that
 // moves any output bit then shows up as a reviewable diff to these files
-// instead of silent drift; speed-only changes (the epoch-stamped selections,
+// instead of silent drift; speed-only changes (the compact-id selections,
 // the incident-count lowdeg objective, kernel sharding) must leave them
 // untouched, while deliberate stream changes (the baselines' switch to
 // selection-field z draws) regenerate exactly the luby fields. Regenerate

@@ -16,7 +16,7 @@
 //     (Censor-Hillel et al. [15], O(log Δ·log n)): the per-phase
 //     derandomization spends O(log n) voting rounds fixing an O(log n)-bit
 //     seed O(1) bits at a time. Reproducing [15]'s Ghaffari-derandomization
-//     in full is out of scope (DESIGN.md substitution 5); the baseline
+//     in full is out of scope for this reproduction; the baseline
 //     charges its documented round structure against the same executed
 //     phase counts, preserving the comparison's shape.
 package cclique

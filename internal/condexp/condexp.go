@@ -16,8 +16,8 @@
 // summed vector tells everyone the first candidate meeting the threshold). The output is
 // deterministic — the first seed in enumeration order with q(seed) >= Q —
 // and termination is guaranteed whenever the expectation bound actually
-// holds for the finite family. DESIGN.md discusses this substitution; the
-// exact chunk-by-chunk method is also implemented (SearchConditional) and
+// holds for the finite family. The scan stands in for the paper's
+// chunk-by-chunk voting, which is also implemented (SearchConditional) and
 // tested against SearchAtLeastBatch on small families.
 //
 // Every production objective scores its candidates through one driver,

@@ -32,7 +32,7 @@ type Params struct {
 	// Slack multiplies the concentration deviation terms in the machine
 	// goodness predicates and invariant checks. The paper's constants only
 	// bind asymptotically; Slack = 4 keeps the predicates meaningful at
-	// laptop scale (see DESIGN.md, substitution 4).
+	// laptop scale.
 	Slack float64
 	// ThresholdFrac is the fraction of the proven expectation bound used as
 	// the seed-search threshold. 1.0 demands the full probabilistic-method
@@ -367,30 +367,15 @@ func (a ZKey) Less(b ZKey) bool {
 }
 
 // EdgeMinScratch is the reusable working state of the edge selections: the
-// epoch-stamped per-node minimum tables, the per-edge key buffer, and the
-// output buffer. Seed searches evaluate the
-// selection once per candidate seed, so pooling this state (one per worker,
-// see scratch.PerWorker) removes the dominant per-seed allocations of the
-// matching path. The zero value is ready to use.
-//
-// Epoch-stamp invariant: a min-table slot min1[v] (or pmin1[v]) is
-// meaningful only when stamp[v] == epoch, and epoch is advanced at the start
-// of every selection call — so a call never reads state written by a
-// previous call, and the O(n) eager clear of the tables is replaced by an
-// O(1) generation bump plus stamping only the endpoints the edge list
-// actually touches. When the uint32 generation counter wraps, the stamp
-// array is hard-reset to zero (over its full capacity, so entries parked
-// beyond the current id space cannot resurface with a recycled generation)
-// and the counter restarts at 1; zero is never a live epoch, which is what
-// keeps freshly grown (zeroed) stamp segments stale by construction. Reuse
-// therefore changes memory lifetimes only, never any computed value — the
-// property selection_equiv_test.go pins against eager-reset references,
-// including across a forced wrap.
+// per-node minimum tables, the per-edge key buffer, and the output buffer.
+// Seed searches evaluate the selection once per candidate seed, so pooling
+// this state (one per worker, inside each EdgeSink) removes the dominant
+// per-seed allocations of the matching path. Every call wipes the minimum
+// table over its plan's id space before merging, so prior contents never
+// reach a result. The zero value is ready to use.
 type EdgeMinScratch struct {
 	min1  []ZKey   // struct path: per-node minimum incident key
 	pmin1 []uint64 // packed path: same, (z, id) fused into one word
-	stamp []uint32 // shared by both paths: slot v valid iff stamp[v] == epoch
-	epoch uint32
 	keys  []ZKey
 	pkeys []uint64
 	sel   EdgeSel // wrapper-owned per-call plan of LocalMinEdgesZ
@@ -398,13 +383,12 @@ type EdgeMinScratch struct {
 }
 
 // NextEpoch advances a stamp table's generation counter and returns the new
-// live generation. This is THE implementation of the epoch-stamp invariant
-// (every stamped structure in the repository goes through it, so the subtle
-// parts live in exactly one place): on uint32 wrap the stamp array is
-// cleared over its FULL capacity — entries parked beyond the current id
-// space must not resurface with a recycled generation — and the counter
-// restarts at 1, so zero is never a live generation and freshly allocated
-// (zeroed) stamp segments are stale by construction.
+// live generation (used by the lowdeg objective's per-seed membership
+// marks): on uint32 wrap the stamp array is cleared over its FULL capacity
+// — entries parked beyond the current id space must not resurface with a
+// recycled generation — and the counter restarts at 1, so zero is never a
+// live generation and freshly allocated (zeroed) stamp segments are stale
+// by construction.
 func NextEpoch(stamp []uint32, epoch *uint32) uint32 {
 	*epoch++
 	if *epoch == 0 {
@@ -412,13 +396,6 @@ func NextEpoch(stamp []uint32, epoch *uint32) uint32 {
 		*epoch = 1
 	}
 	return *epoch
-}
-
-// nextEpoch grows the stamp table to cover n ids and advances the
-// generation, hard-resetting on wrap (see the type comment).
-func (s *EdgeMinScratch) nextEpoch(n int) uint32 {
-	s.stamp = graph.Grow(s.stamp, n)
-	return NextEpoch(s.stamp, &s.epoch)
 }
 
 // EdgeSel is the seed-independent half of a Section 3.3 selection round:
@@ -434,22 +411,7 @@ type EdgeSel struct {
 	n      int
 	idBits uint
 	packed bool
-	// foldBits/fold describe the EdgeFold representation (z<<foldBits | other
-	// endpoint, per-node tables): fold is set iff the round is dense enough
-	// for flat tables AND every live fold key is strictly below the all-ones
-	// sentinel. See EdgeFoldScatter.
-	foldBits uint
-	fold     bool
 }
-
-// Fold reports whether this round qualifies for the fused block-fold
-// selection (EdgeFold): the packed endpoint representation must be exact
-// under the round's zMax with the all-ones sentinel unreachable, and the
-// round must be dense (n <= 4|edges|) so the per-seed flat table wipe is
-// cheaper than the epoch bookkeeping it replaces. EdgeSink runs sparse or
-// unpackable rounds through full z rows and the epoch-stamped
-// LocalMinEdgesSel instead.
-func (sel *EdgeSel) Fold() bool { return sel.fold }
 
 // EdgeSelInit fills sel for one round: edges is the round's canonical edge
 // list over an n-id graph, ekeys is the caller's key buffer (typically a
@@ -458,7 +420,9 @@ func (sel *EdgeSel) Fold() bool { return sel.fold }
 // LocalMinEdgesSel — the field size minus one for hash-kernel callers. The
 // packed single-word fast path is taken iff every (z, id) pair fits one
 // uint64 under that bound, decided here in O(1) instead of by an O(m) scan
-// per seed.
+// per seed. Each selection wipes an n-word table, so seed searches pass
+// their edge list relabelled onto its endpoints (n <= 2|edges|); any
+// id-order-preserving relabel selects the same edges.
 func EdgeSelInit(sel *EdgeSel, n int, edges []graph.Edge, ekeys []uint64, zMax uint64) {
 	sel.edges = edges
 	sel.n = n
@@ -468,19 +432,9 @@ func EdgeSelInit(sel *EdgeSel, n int, edges []graph.Edge, ekeys []uint64, zMax u
 	}
 	sel.ekeys = ekeys
 	sel.idBits, sel.packed = 0, false
-	sel.foldBits, sel.fold = 0, false
 	if n >= 2 {
 		sel.idBits = uint(bits.Len64(uint64(n)*uint64(n) - 1))
 		sel.packed = zMax>>(64-sel.idBits) == 0
-		// The fold representation packs (z, other endpoint) rather than
-		// (z, edge key), so it affords a narrower id field — but its tables
-		// use all-ones as the "no incident edge" sentinel, so a live key must
-		// never be able to reach it: zMax must sit STRICTLY below the sentinel
-		// prefix (always true for the repository's ~SlotMax·n² hash fields).
-		// Density gates it exactly like LocalMinEdgesSel's dense branch.
-		fb := uint(bits.Len64(uint64(n) - 1))
-		sel.foldBits = fb
-		sel.fold = zMax < ^uint64(0)>>fb && n <= 4*len(edges)
 	}
 }
 
@@ -540,9 +494,6 @@ func LocalMinEdgesZ(s *EdgeMinScratch, estar *graph.Graph, edges []graph.Edge, z
 	}
 	s.sel.ekeys = ekeys
 	s.sel.idBits, s.sel.packed = packedEdgeBits(n, z)
-	// The wrapper never fold-selects; clear any fold eligibility a previous
-	// EdgeSelInit on this embedded plan may have recorded.
-	s.sel.foldBits, s.sel.fold = 0, false
 	return LocalMinEdgesSel(s, &s.sel, z)
 }
 
@@ -551,10 +502,10 @@ func LocalMinEdgesZ(s *EdgeMinScratch, estar *graph.Graph, edges []graph.Edge, z
 // edge is in the candidate matching iff its (z, key) is the minimum at BOTH
 // endpoints — keys are unique per edge, so "strictly smaller than every
 // adjacent edge" is exactly "argmin at each end", and a single min table
-// suffices. The per-node tables are epoch-stamped (see EdgeMinScratch), so
-// a call costs O(|edges|): only the endpoints the round's edge list touches
-// are ever (re)initialised, not the full id space. The returned slice
-// aliases s.out and is valid until the next call with the same scratch.
+// suffices. The call wipes the n-word table, merges every edge into both
+// endpoint slots, and keeps the edges that are the argmin at both ends. The
+// returned slice aliases s.out and is valid until the next call with the
+// same scratch.
 //
 //det:hotpath
 func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge {
@@ -562,68 +513,29 @@ func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge 
 	if len(z) != len(edges) {
 		panic("core: LocalMinEdgesSel z/edges length mismatch")
 	}
-	ep := s.nextEpoch(sel.n)
-	stamp := s.stamp
 	if sel.packed {
 		idBits := sel.idBits
 		s.pmin1 = graph.Grow(s.pmin1, sel.n)
 		s.pkeys = graph.Grow(s.pkeys, len(edges))
 		min1, keys := s.pmin1, s.pkeys[:len(edges)]
-		if sel.n <= 4*len(edges) {
-			// Dense rounds (the seed-search regime that dominates T7): a
-			// flat wipe of the whole min table costs a fraction of what the
-			// per-endpoint epoch bookkeeping saves, so the merge loop drops
-			// to load–min–store per endpoint. An all-ones slot reads as
-			// "no incident key yet" exactly like a stale stamped slot, so
-			// the resulting table — and the selected edges — are
-			// bit-identical to the stamped pass below.
-			min1 := min1[:sel.n]
-			intmath.Fill64(min1, ^uint64(0))
-			for idx, e := range edges {
-				k := z[idx]<<idBits | ekeys[idx]
-				keys[idx] = k
-				u, v := e.U, e.V
-				mu := min1[u]
-				if k < mu {
-					mu = k
-				}
-				min1[u] = mu
-				mv := min1[v]
-				if k < mv {
-					mv = k
-				}
-				min1[v] = mv
+		// An all-ones slot reads as "no incident key yet": no packed key
+		// exceeds it, so the merge is a plain load–min–store per endpoint,
+		// which the compiler lowers to conditional moves.
+		intmath.Fill64(min1, ^uint64(0))
+		for idx, e := range edges {
+			k := z[idx]<<idBits | ekeys[idx]
+			keys[idx] = k
+			u, v := e.U, e.V
+			mu := min1[u]
+			if k < mu {
+				mu = k
 			}
-		} else {
-			// Sparse rounds (edge list tiny against the id space): only the
-			// endpoints the edge list touches are ever stamped and
-			// (re)initialised — no id-space-wide clear. The merge is
-			// branchless: whether an endpoint's slot is stale and whether
-			// the new key undercuts it both depend on the (effectively
-			// random) hash values, so branches here mispredict heavily.
-			// Instead, a stale slot's value is forced to all-ones by OR-ing
-			// a mask derived from stamp[v] ^ ep (nonzero iff stale), the
-			// min is a compare the compiler lowers to a conditional move,
-			// and the stamp and table stores are unconditional.
-			for idx, e := range edges {
-				k := z[idx]<<idBits | ekeys[idx]
-				keys[idx] = k
-				u, v := e.U, e.V
-				su := uint64(stamp[u] ^ ep)
-				mu := min1[u] | -((su | -su) >> 63)
-				if k < mu {
-					mu = k
-				}
-				stamp[u] = ep
-				min1[u] = mu
-				sv := uint64(stamp[v] ^ ep)
-				mv := min1[v] | -((sv | -sv) >> 63)
-				if k < mv {
-					mv = k
-				}
-				stamp[v] = ep
-				min1[v] = mv
+			min1[u] = mu
+			mv := min1[v]
+			if k < mv {
+				mv = k
 			}
+			min1[v] = mv
 		}
 		// Output pass: an edge is selected iff its key is the minimum at
 		// both endpoints. Compaction is branchless — the edge is stored
@@ -645,19 +557,17 @@ func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge 
 	s.min1 = graph.Grow(s.min1, sel.n)
 	s.keys = graph.Grow(s.keys, len(edges))
 	min1, keys := s.min1, s.keys[:len(edges)]
+	// The all-ones sentinel sits above every real key: ids are below n².
+	for v := range min1 {
+		min1[v] = ZKey{^uint64(0), ^uint64(0)}
+	}
 	for idx, e := range edges {
 		k := ZKey{z[idx], ekeys[idx]}
 		keys[idx] = k
-		if stamp[e.U] != ep {
-			stamp[e.U] = ep
-			min1[e.U] = k
-		} else if k.Less(min1[e.U]) {
+		if k.Less(min1[e.U]) {
 			min1[e.U] = k
 		}
-		if stamp[e.V] != ep {
-			stamp[e.V] = ep
-			min1[e.V] = k
-		} else if k.Less(min1[e.V]) {
+		if k.Less(min1[e.V]) {
 			min1[e.V] = k
 		}
 	}
@@ -710,8 +620,8 @@ func LocalMinNodesZ(dst []graph.NodeID, q *graph.Graph, inQ []bool, z []uint64) 
 	if len(z) < n {
 		panic("core: LocalMinNodesZ z vector shorter than node count")
 	}
-	// Packed fast path, as in localMinEdgesPacked: when every z fits above
-	// an id field of Len(n-1) bits, (z, id) comparisons are single-word.
+	// Packed fast path, as in LocalMinNodesSel: when every z fits above an
+	// id field of Len(n-1) bits, (z, id) comparisons are single-word.
 	if n >= 2 {
 		idBits := uint(bits.Len64(uint64(n) - 1))
 		var all uint64
@@ -764,463 +674,151 @@ func LocalMinNodesZ(dst []graph.NodeID, q *graph.Graph, inQ []bool, z []uint64) 
 }
 
 // NodeSel is the seed-independent half of a Section 4.3 selection round:
-// the live candidate list (the nodes the round's inQ mask admits, in
-// ascending id order), their hash-key vector, and an epoch-stamped position
-// index mapping a node id to its slot in the per-seed z vector. Seed
-// searches build it once per round (Init) and evaluate every candidate seed
-// with one hashfam EvalKeys pass over Keys() — length |live|, not the full
-// id space — followed by LocalMinNodesSel. The epoch-stamp invariant is the
-// one documented on EdgeMinScratch: pos[v] is meaningful iff
-// stamp[v] == epoch, Init advances the generation, and a uint32 wrap
-// hard-resets the stamp array over its full capacity with the counter
-// restarting at 1, so reuse across rounds (and across solves, when checked
-// out of a pooled scratch.Context) can never leak a stale position. After
-// Init a NodeSel is read-only and safe to share across concurrent per-seed
-// evaluations. The zero value is ready to use.
+// the round's candidates as an ascending list of the solve's node ids, and
+// their hash-key vector. The round selects on the subgraph induced on the
+// candidates relabelled onto compact ids (graph.InducedNodesInto), whose
+// node i is Live()[i]: a candidate seed costs one kernel pass over Keys()
+// and one LocalMinNodesSel scan, both of length |live|, never the solve's
+// full id space. After Init a NodeSel is read-only and safe to share across
+// concurrent per-seed evaluations. The zero value is ready to use.
 type NodeSel struct {
 	live   []graph.NodeID
 	keys   []uint64
-	pos    []int32
-	stamp  []uint32
-	epoch  uint32
-	n      int
 	idBits uint
 	packed bool
-	// gen counts Init/InitList calls over the plan's whole lifetime (never
-	// reset, uint64 so it never wraps in practice). NodeFold keys its
-	// once-per-round table wipes on (plan pointer, gen), so a fold scratch
-	// can tell "same round, table rows already sentinel at dead slots" from
-	// "new round, rewipe" without the plan knowing its consumers.
-	gen uint64
-	// dense marks rounds that qualify for the flat-table selection
-	// (NodeFold): packed keys whose maximum stays strictly below the
-	// all-ones sentinel, over a live set covering at least a quarter of the
-	// id space. See Dense.
-	dense bool
 }
 
-// Init fills sel for one round: inQ masks the candidates over an n-id
-// graph, keyOf supplies each candidate's (seed-independent) hash key, and
-// zMax is an inclusive upper bound on every z value later passed to
-// LocalMinNodesSel. Cost is one O(n) mask scan plus O(|live|) stamping —
-// paid once per round, where the eager alternative pays the id-space scan
-// once per candidate seed.
-func (sel *NodeSel) Init(n int, inQ []bool, keyOf func(graph.NodeID) uint64, zMax uint64) {
-	ep := sel.begin(n)
-	live := graph.Grow(sel.live, n)[:0]
-	keys := graph.Grow(sel.keys, n)[:0]
-	for v := 0; v < n; v++ {
-		if !inQ[v] {
-			continue
-		}
-		sel.pos[v] = int32(len(live))
-		sel.stamp[v] = ep
-		live = append(live, graph.NodeID(v))
-		keys = append(keys, keyOf(graph.NodeID(v)))
+// Init fills sel for one round: ids lists the candidates (ascending,
+// duplicate-free; copied, so the caller may reuse it), keyOf supplies each
+// candidate's seed-independent hash key, and zMax is an inclusive upper
+// bound on every z value later passed to LocalMinNodesSel. The packed
+// single-word path is taken iff every z under that bound fits above an id
+// field of Len(|ids|-1) bits.
+func (sel *NodeSel) Init(ids []graph.NodeID, keyOf func(graph.NodeID) uint64, zMax uint64) {
+	live := graph.Grow(sel.live, len(ids))
+	keys := graph.Grow(sel.keys, len(ids))
+	copy(live, ids)
+	for i, v := range ids {
+		keys[i] = keyOf(v)
 	}
-	sel.live = live
-	sel.keys = keys
-	sel.finish(n, zMax)
-}
-
-// InitList is Init for callers that already hold the round's candidate list:
-// ids must be ascending and duplicate-free — exactly the list the Init mask
-// scan would produce — and the plan it builds is bit-identical to Init with
-// the corresponding mask, without the O(n) scan over the id space. The round
-// loops use it where the candidate set arrives as a list anyway (the
-// sparsified Q' of the MIS path, the shrinking live list of the lowdeg
-// phases), which removes the last per-round term proportional to the full id
-// space from those paths. The list is copied; the caller may reuse it.
-func (sel *NodeSel) InitList(n int, ids []graph.NodeID, keyOf func(graph.NodeID) uint64, zMax uint64) {
-	ep := sel.begin(n)
-	live := graph.Grow(sel.live, len(ids))[:0]
-	keys := graph.Grow(sel.keys, len(ids))[:0]
-	for _, v := range ids {
-		sel.pos[v] = int32(len(live))
-		sel.stamp[v] = ep
-		live = append(live, v)
-		keys = append(keys, keyOf(v))
-	}
-	sel.live = live
-	sel.keys = keys
-	sel.finish(n, zMax)
-}
-
-// begin sizes the stamped position index for an n-id round and advances the
-// generation (shared prologue of Init and InitList).
-func (sel *NodeSel) begin(n int) uint32 {
-	sel.n = n
-	sel.gen++
-	sel.pos = graph.Grow(sel.pos, n)
-	sel.stamp = graph.Grow(sel.stamp, n)
-	return NextEpoch(sel.stamp, &sel.epoch)
-}
-
-// finish records the packed-path and dense-path decisions (shared epilogue
-// of Init and InitList): packed iff every z value under the caller's bound
-// fits above an id field of Len(n-1) bits in one word, dense additionally
-// iff no live packed key can collide with NodeFold's all-ones sentinel and
-// the live set covers at least a quarter of the id space (so a flat table
-// wipe amortises against the per-seed epoch bookkeeping it replaces).
-func (sel *NodeSel) finish(n int, zMax uint64) {
-	sel.idBits, sel.packed, sel.dense = 0, false, false
-	if n >= 2 {
+	sel.live, sel.keys = live, keys
+	sel.idBits, sel.packed = 0, false
+	if n := len(ids); n >= 2 {
 		sel.idBits = uint(bits.Len64(uint64(n) - 1))
 		sel.packed = zMax>>(64-sel.idBits) == 0
-		sel.dense = zMax < ^uint64(0)>>sel.idBits && n <= 4*len(sel.live)
 	}
 }
 
-// Dense reports whether this round qualifies for the flat-table selection
-// (NodeFold, see NodeSink): the round's packed keys
-// must stay strictly below the all-ones "dead slot" sentinel, and the live
-// set must be dense in the id space (n <= 4|live|) so wiping a full table
-// once per round beats stamp checks on every neighbour probe. Sparse rounds
-// keep the epoch-stamped LocalMinNodesSel scan.
-func (sel *NodeSel) Dense() bool { return sel.dense }
-
-// Live returns the candidate ids in ascending order, valid until the next
-// Init.
+// Live returns the candidate ids in ascending order — compact node i of the
+// round's selection graph is Live()[i] — valid until the next Init.
 func (sel *NodeSel) Live() []graph.NodeID { return sel.live }
 
 // Keys returns the candidates' hash-key vector, parallel to Live(): the
-// once-per-round input of the per-seed EvalKeys passes.
+// once-per-round input of the per-seed kernel passes.
 func (sel *NodeSel) Keys() []uint64 { return sel.keys }
 
-// LocalMinNodesSel is the per-round-plan form of the Section 4.3 selection:
-// z[i] is the hash value of sel.Live()[i] under the candidate seed (one
-// EvalKeys pass over sel.Keys()). A candidate joins I_h iff its (z, id) is
-// strictly smaller than every live q-neighbour's; the live set and the
-// iteration order are exactly those of LocalMinNodesZ with inQ = the mask
-// Init saw, so results are bit-identical while the scan touches only
-// candidates and their incidences, never the full id space.
+// LocalMinNodesSel is the per-round-plan form of the Section 4.3 selection
+// on the round's compact selection graph q (q.N() == len(sel.Live())):
+// z[v] is the hash value of compact node v under the candidate seed (one
+// kernel pass over sel.Keys()). Node v joins I_h iff its (z, v) is strictly
+// smaller than every q-neighbour's. Compact ids preserve the order of the
+// solve's ids, so the result, mapped back through sel.Live(), is
+// bit-identical to LocalMinNodesZ over the full id space with inQ the
+// candidate mask. It returns compact ids, ascending.
 //
 //det:hotpath
 func LocalMinNodesSel(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint64) []graph.NodeID {
-	if len(z) < len(sel.live) {
+	n := len(sel.live)
+	if q.N() != n {
+		panic("core: LocalMinNodesSel graph is not the round's compact selection graph")
+	}
+	if len(z) < n {
 		panic("core: LocalMinNodesSel z vector shorter than live set")
 	}
-	ep, stamp, pos := sel.epoch, sel.stamp, sel.pos
 	out := dst[:0]
 	if sel.packed {
 		idBits := sel.idBits
-		for i, v := range sel.live {
-			kv := z[i]<<idBits | uint64(v)
+		for v := 0; v < n; v++ {
+			kv := z[v]<<idBits | uint64(v)
 			isMin := true
-			for _, u := range q.Neighbors(v) {
-				if stamp[u] == ep && kv >= z[pos[u]]<<idBits|uint64(u) {
+			for _, u := range q.Neighbors(graph.NodeID(v)) {
+				if kv >= z[u]<<idBits|uint64(u) {
 					isMin = false
 					break
 				}
 			}
 			if isMin {
-				out = append(out, v) //det:allow hotalloc appends into caller-grown dst, capacity reserved by the scratch arena
+				out = append(out, graph.NodeID(v)) //det:allow hotalloc appends into caller-grown dst, capacity reserved by the scratch arena
 			}
 		}
 		return out
 	}
-	for i, v := range sel.live {
-		kv := ZKey{z[i], uint64(v)}
+	for v := 0; v < n; v++ {
+		kv := ZKey{z[v], uint64(v)}
 		isMin := true
-		for _, u := range q.Neighbors(v) {
-			if stamp[u] == ep && !kv.Less(ZKey{z[pos[u]], uint64(u)}) {
+		for _, u := range q.Neighbors(graph.NodeID(v)) {
+			if !kv.Less(ZKey{z[u], uint64(u)}) {
 				isMin = false
 				break
 			}
 		}
 		if isMin {
-			out = append(out, v) //det:allow hotalloc appends into caller-grown dst, capacity reserved by the scratch arena
+			out = append(out, graph.NodeID(v)) //det:allow hotalloc appends into caller-grown dst, capacity reserved by the scratch arena
 		}
 	}
 	return out
 }
 
-// NodeFold is the per-worker flat-table scratch of the dense node selection:
-// one n-word table per in-flight seed, tab[v] = z_v<<idBits | v for live v
-// and the all-ones sentinel for dead v. The selection scan then probes ONE
-// word per neighbour — where the stamped path loads stamp[u], pos[u] and
-// z[pos[u]] and reassembles the packed key per probe — while keeping the
-// same early-exit loop shape (a dead neighbour's sentinel can never
-// disqualify a live key, because Dense guarantees live keys sit strictly
-// below it).
-//
-// Tables are wiped to the sentinel once per ROUND, not once per seed: within
-// a round the live set is fixed, every seed's scatter plainly overwrites all
-// live slots, and dead slots keep the sentinel — so after the first wipe a
-// table is reusable by construction. Tables keys the wipe on the plan's
-// (pointer, generation) pair and tracks how many rows are wiped, rewiping
-// only on a new round, a reallocation, or a wider row request. The zero
-// value is ready to use; a NodeFold belongs to one worker at a time (the
-// objectives embed one in their pooled per-worker state).
-type NodeFold struct {
-	buf   []uint64
-	rows  [][]uint64
-	owner *NodeSel
-	gen   uint64
-	n     int
-	wiped int
-}
-
-// Tables returns s per-seed selection tables of n = sel's id-space words
-// each, every returned row sentinel-filled at all slots no scatter of the
-// current round has overwritten. Rows are reused across calls within one
-// round (see the type comment); s is the seed-group width, so the tables
-// for a whole condexp.BlockSeeds group fit one call.
-//
-//det:hotpath
-func (f *NodeFold) Tables(sel *NodeSel, s int) [][]uint64 {
-	n := sel.n
-	if need := s * n; cap(f.buf) < need {
-		f.buf = make([]uint64, need) //det:allow hotalloc table realloc on first use or growth, wiped and reused across rounds
-		f.wiped = 0
-	}
-	if f.owner != sel || f.gen != sel.gen || f.n != n {
-		f.owner, f.gen, f.n, f.wiped = sel, sel.gen, n, 0
-	}
-	if cap(f.rows) < s {
-		f.rows = make([][]uint64, s) //det:allow hotalloc table realloc on first use or growth, wiped and reused across rounds
-	}
-	rows := f.rows[:s]
-	for i := range rows {
-		rows[i] = f.buf[i*n : (i+1)*n : (i+1)*n]
-	}
-	for i := f.wiped; i < s; i++ {
-		intmath.Fill64(rows[i], ^uint64(0))
-	}
-	if s > f.wiped {
-		f.wiped = s
-	}
-	return rows
-}
-
-// NodeFoldScatter writes the packed keys of live candidates lo..hi-1 into a
-// NodeFold table: tab[v] = z[i]<<idBits | v for v = sel.Live()[lo+i]. It is
-// the per-block absorb step of the fused kernel pipeline — called from
-// inside an EvalSeedsBlockedFold callback with the block's tile row, so the
-// scatter runs while the z values are cache-resident. Scattering every block
-// of a seed in ascending order leaves the table identical to a full-vector
-// scatter; the store is a plain overwrite (each live slot is written exactly
-// once per seed), which is what makes the once-per-round wipe sound.
-//
-//det:hotpath
-func NodeFoldScatter(tab []uint64, sel *NodeSel, lo, hi int, z []uint64) {
-	b := sel.idBits
-	for i, v := range sel.live[lo:hi] {
-		tab[v] = z[i]<<b | uint64(v)
-	}
-}
-
-// NodeFoldSelect runs the dense selection scan against a fully scattered
-// table: a candidate joins I_h iff its packed key is strictly smaller than
-// every neighbour's table word. Dead neighbours read the all-ones sentinel,
-// which no live key can reach (Dense), so they are skipped without a stamp
-// check — the inner loop is one load and one compare per probed neighbour,
-// early-exiting on the first disqualifier exactly like the stamped scan, so
-// the output is bit-identical to LocalMinNodesSel on the same z vector.
-// Output compaction is branchless (unconditional store, flag-advanced
-// cursor): whether a candidate survives is hash-random, so a conditional
-// append would mispredict on a large fraction of candidates.
-//
-//det:hotpath
-func NodeFoldSelect(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, tab []uint64) []graph.NodeID {
-	live := sel.live
-	out := graph.Grow(dst, len(live))[:len(live)]
-	cnt := 0
-	for _, v := range live {
-		kv := tab[v]
-		flag := 1
-		for _, u := range q.Neighbors(v) {
-			if kv >= tab[u] {
-				flag = 0
-				break
-			}
-		}
-		out[cnt] = v
-		cnt += flag
-	}
-	return out[:cnt]
-}
-
 // NodeSink is the selection half of a node objective's seed-search sink
-// (condexp.Sink): it collects each candidate seed's z values and runs the
-// Section 4.3 selection on them. Dense rounds (Sel.Dense()) fold: every
-// key block is scattered straight into flat per-seed NodeFold tables while
-// cache-resident. Sparse rounds hand the driver full-length rows to fill
-// for the epoch-stamped LocalMinNodesSel. Both select the same set bit for
-// bit. An objective's sink embeds a NodeSink bound to its
-// per-solve plan and adds Value; a NodeSink belongs to one worker at a
-// time.
+// (condexp.Sink). It is a row sink: Begin hands the driver one row per seed
+// of the group, indexed by compact id, that the kernel fills directly, and
+// Select runs LocalMinNodesSel on it. An objective's sink embeds a NodeSink
+// bound to its per-round plan and adds Value; a NodeSink belongs to one
+// worker at a time.
 type NodeSink struct {
 	Sel  *NodeSel
-	fold NodeFold
 	rows hashfam.Tile
-	z    [][]uint64 // the current group's tables (dense) or rows (sparse)
+	z    [][]uint64
 	out  []graph.NodeID
 }
 
-// Begin starts a group of s seeds: nil on dense rounds, which fold,
-// otherwise one row per seed over the live set for the driver to fill.
+// Begin starts a group of s seeds: one row per seed over the live set.
 func (k *NodeSink) Begin(s int) [][]uint64 {
-	if k.Sel.dense {
-		k.z = k.fold.Tables(k.Sel, s)
-		return nil
-	}
 	k.z = k.rows.Rows(s, len(k.Sel.live))
 	return k.z
 }
 
-// Fold absorbs z values of live candidates lo..hi-1 under seed s (dense
-// rounds only).
-func (k *NodeSink) Fold(s, lo, hi int, z []uint64) {
-	NodeFoldScatter(k.z[s], k.Sel, lo, hi, z)
-}
+// Fold is never called: Begin always returns rows.
+func (k *NodeSink) Fold(s, lo, hi int, z []uint64) { panic("core: NodeSink is a row sink") }
 
-// Select returns I_h over q for seed s of the group once every block is
-// folded, valid until the next Select.
+// Select returns I_h (compact ids) over the round's compact graph q for
+// seed s of the group, valid until the next Select.
 func (k *NodeSink) Select(q *graph.Graph, s int) []graph.NodeID {
-	if k.Sel.dense {
-		k.out = NodeFoldSelect(k.out, q, k.Sel, k.z[s])
-	} else {
-		k.out = LocalMinNodesSel(k.out, q, k.Sel, k.z[s])
-	}
+	k.out = LocalMinNodesSel(k.out, q, k.Sel, k.z[s])
 	return k.out
 }
 
-// EdgeFold is the per-worker flat-table scratch of the fused edge selection:
-// one n-word table per in-flight seed, tab[v] = min over v's incident edges
-// of z<<foldBits | (other endpoint), all-ones where no edge touched v. For a
-// fixed endpoint v the canonical edge key e.Key(n) is strictly increasing in
-// the other endpoint (all three orderings of u, v1 < v2 preserve it), so
-// ordering incident edges by (z, other endpoint) IS the (z, key) order of
-// LocalMinEdgesSel — the fold representation affords an id field of
-// Len(n-1) bits instead of Len(n²-1) while selecting identical edges.
-//
-// Unlike NodeFold's plain-overwrite tables these are MIN accumulators, so
-// Begin wipes per seed group, not per round — the same flat-wipe cost the
-// dense branch of LocalMinEdgesSel pays, which is why EdgeSel.Fold carries
-// the same density gate. The zero value is ready to use; an EdgeFold belongs
-// to one worker at a time.
-type EdgeFold struct {
-	buf  []uint64
-	rows [][]uint64
-}
-
-// Begin returns s sentinel-wiped per-seed tables of sel.n words each — one
-// per seed of a condexp.BlockSeeds group, wiped eagerly because the fold
-// merges with min (a stale smaller key from a previous group would
-// corrupt).
-//
-//det:hotpath
-func (f *EdgeFold) Begin(sel *EdgeSel, s int) [][]uint64 {
-	n := sel.n
-	if need := s * n; cap(f.buf) < need {
-		f.buf = make([]uint64, need) //det:allow hotalloc table realloc on first use or growth, wiped and reused across rounds
-	}
-	if cap(f.rows) < s {
-		f.rows = make([][]uint64, s) //det:allow hotalloc table realloc on first use or growth, wiped and reused across rounds
-	}
-	rows := f.rows[:s]
-	for i := range rows {
-		row := f.buf[i*n : (i+1)*n : (i+1)*n]
-		intmath.Fill64(row, ^uint64(0))
-		rows[i] = row
-	}
-	return rows
-}
-
-// EdgeFoldScatter min-merges edges lo..hi-1 into a table: z[i] is the hash
-// value of sel's edge lo+i (one tile row of an EvalSeedsBlockedFold block),
-// and each edge updates both endpoint slots with its packed (z, other
-// endpoint) key. Merges are the load–min–store shape the compiler lowers to
-// conditional moves, mirroring the dense branch of LocalMinEdgesSel.
-//
-//det:hotpath
-func EdgeFoldScatter(tab []uint64, sel *EdgeSel, lo, hi int, z []uint64) {
-	b := sel.foldBits
-	edges := sel.edges
-	for idx := lo; idx < hi; idx++ {
-		e := edges[idx]
-		zs := z[idx-lo] << b
-		ku := zs | uint64(e.V)
-		mu := tab[e.U]
-		if ku < mu {
-			mu = ku
-		}
-		tab[e.U] = mu
-		kv := zs | uint64(e.U)
-		mv := tab[e.V]
-		if kv < mv {
-			mv = kv
-		}
-		tab[e.V] = mv
-	}
-}
-
-// EdgeFoldDecode appends the selected matching of a fully merged table to
-// dst[:0]: edge {u,v} is selected iff it is the argmin at BOTH endpoints,
-// i.e. tab[u] points at v and tab[v] points back at u with the same z. The
-// scan walks ids ascending and emits at the smaller endpoint; selected edges
-// form a matching (distinct smaller endpoints), so the output is exactly the
-// canonical-edge-order output of LocalMinEdgesSel's compaction pass.
-//
-//det:hotpath
-func EdgeFoldDecode(dst []graph.Edge, tab []uint64, sel *EdgeSel) []graph.Edge {
-	b := sel.foldBits
-	mask := uint64(1)<<b - 1
-	out := dst[:0]
-	for u := 0; u < sel.n; u++ {
-		t := tab[u]
-		if t == ^uint64(0) {
-			continue
-		}
-		v := t & mask
-		if v <= uint64(u) {
-			continue
-		}
-		if tab[v] == t&^mask|uint64(u) {
-			out = append(out, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v)}) //det:allow hotalloc appends into caller-grown dst, capacity reserved by the scratch arena
-		}
-	}
-	return out
-}
-
-// EdgeSink is NodeSink for the Section 3.3 edge selection: rounds that
-// qualify for the fold (Sel.Fold()) min-merge every block into per-seed
-// EdgeFold tables and decode the matching from them, the others hand the
-// driver full-length rows to fill for LocalMinEdgesSel. Both select the
-// same matching bit for bit.
+// EdgeSink is NodeSink for the Section 3.3 edge selection: the driver fills
+// one row per seed over the plan's edge list, and Select runs
+// LocalMinEdgesSel on it.
 type EdgeSink struct {
 	Sel  *EdgeSel
-	fold EdgeFold
 	rows hashfam.Tile
-	z    [][]uint64 // the current group's tables (fold) or rows
+	z    [][]uint64
 	lm   EdgeMinScratch
-	out  []graph.Edge
 }
 
-// Begin starts a group of s seeds: nil on rounds that fold, otherwise one
-// row per seed over the edge list for the driver to fill.
+// Begin starts a group of s seeds: one row per seed over the edge list.
 func (k *EdgeSink) Begin(s int) [][]uint64 {
-	if k.Sel.fold {
-		k.z = k.fold.Begin(k.Sel, s)
-		return nil
-	}
 	k.z = k.rows.Rows(s, len(k.Sel.edges))
 	return k.z
 }
 
-// Fold absorbs z values of edges lo..hi-1 under seed s (fold rounds only).
-func (k *EdgeSink) Fold(s, lo, hi int, z []uint64) {
-	EdgeFoldScatter(k.z[s], k.Sel, lo, hi, z)
-}
+// Fold is never called: Begin always returns rows.
+func (k *EdgeSink) Fold(s, lo, hi int, z []uint64) { panic("core: EdgeSink is a row sink") }
 
-// Select returns E_h for seed s of the group once every block is folded,
-// valid until the next Select.
+// Select returns E_h for seed s of the group, valid until the next Select.
 func (k *EdgeSink) Select(s int) []graph.Edge {
-	if k.Sel.fold {
-		k.out = EdgeFoldDecode(k.out, k.z[s], k.Sel)
-		return k.out
-	}
 	return LocalMinEdgesSel(&k.lm, k.Sel, k.z[s])
 }
 
@@ -1234,7 +832,7 @@ const SlotMax = 64
 // domain-separation slots that give every subsampling stage fresh
 // independent values even when the seed search lands on the same seed (the
 // paper's [n³] range plays the same role: it decouples the per-stage hash
-// values). Ties are broken by id, see DESIGN.md.
+// values). Ties are broken by id (ZKey).
 func EdgeField(n int) uint64 {
 	min := SlotMax * uint64(n) * uint64(n)
 	if min < 1024 {

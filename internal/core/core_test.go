@@ -242,12 +242,11 @@ func TestLocalMinEdgesConstantZUsesTieBreak(t *testing.T) {
 	}
 }
 
-// TestLocalMinEdgesSelBranchEquivalence pins the three insertion variants of
-// LocalMinEdgesSel to one answer: the packed dense path (n small against the
-// edge list: flat table wipe, no stamps), the packed stamped path (n > 4m:
-// epoch-stamped slots, no wipe), and the unpacked ZKey fallback (z values too
-// wide to pack). The (z, key) order is the same under every variant and every
-// id-space size, so the selected edges must be identical edge for edge.
+// TestLocalMinEdgesSelBranchEquivalence pins the two merge variants of
+// LocalMinEdgesSel to one answer: the packed single-word path and the
+// unpacked ZKey fallback (z values too wide to pack). The (z, key) order is
+// the same under both, so the selected edges must be identical edge for
+// edge.
 func TestLocalMinEdgesSelBranchEquivalence(t *testing.T) {
 	g := gen.GNM(200, 420, 3)
 	edges := g.Edges()
@@ -256,30 +255,24 @@ func TestLocalMinEdgesSelBranchEquivalence(t *testing.T) {
 		z[i] = (uint64(i)*2654435761 + 17) % 997 // small values + ties
 	}
 	z[0], z[1] = z[2], z[2] // deliberate tie needing the key tie-break
-	run := func(n int, zMax uint64) []graph.Edge {
+	run := func(zMax uint64) []graph.Edge {
 		var sel EdgeSel
-		EdgeSelInit(&sel, n, edges, nil, zMax)
+		EdgeSelInit(&sel, g.N(), edges, nil, zMax)
 		var s EdgeMinScratch
 		got := LocalMinEdgesSel(&s, &sel, z)
 		return append([]graph.Edge(nil), got...)
 	}
-	dense := run(g.N(), 996) // n = 200 <= 4*420: wipe path, packed
-	if 4*len(edges) >= 1<<20 {
-		t.Fatal("workload too dense for the stamped variant")
+	packed := run(996)
+	unpacked := run(^uint64(0)) // zMax forces the ZKey fallback
+	if len(unpacked) != len(packed) {
+		t.Fatalf("unpacked selected %d edges, packed path %d", len(unpacked), len(packed))
 	}
-	stamped := run(1<<20, 996)         // n ≫ 4m: stamped path, packed
-	unpacked := run(g.N(), ^uint64(0)) // zMax forces the ZKey fallback
-	for name, got := range map[string][]graph.Edge{"stamped": stamped, "unpacked": unpacked} {
-		if len(got) != len(dense) {
-			t.Fatalf("%s selected %d edges, dense path %d", name, len(got), len(dense))
-		}
-		for i := range got {
-			if got[i] != dense[i] {
-				t.Fatalf("%s edge %d is %v, dense path %v", name, i, got[i], dense[i])
-			}
+	for i := range unpacked {
+		if unpacked[i] != packed[i] {
+			t.Fatalf("unpacked edge %d is %v, packed path %v", i, unpacked[i], packed[i])
 		}
 	}
-	if len(dense) == 0 {
+	if len(packed) == 0 {
 		t.Fatal("no edges selected on a non-empty graph")
 	}
 }

@@ -1,13 +1,13 @@
 package core
 
-// Equivalence tests for the epoch-stamped selections: LocalMinEdgesZ /
-// LocalMinEdgesSel / LocalMinNodesSel must match eager-reset reference
+// Equivalence tests for the per-round selections: LocalMinEdgesZ /
+// LocalMinEdgesSel / LocalMinNodesSel must match eager reference
 // implementations on DIRTY, reused scratch — across id spaces that shrink
-// and then grow again (so stale stamp segments from a larger graph sit
-// under a smaller one and resurface later), and across a forced generation
-// wrap (so the hard-reset path is exercised, not just the happy counter
-// bump). The references below re-derive the selection from the definition
-// on fresh state every call, so any stale-table leak in the stamped paths
+// and then grow again, so tables sized for a larger graph sit under a
+// smaller one — and, for the compact rounds the seed searches run, after
+// relabelling the round's live set onto ids 0..k-1. The references below
+// re-derive the selection from the definition on the original ids and
+// fresh state every call, so any stale-table leak or relabelling slip
 // shows up as a diff.
 
 import (
@@ -95,7 +95,7 @@ func nodesEqual(t *testing.T, label string, got, want []graph.NodeID) {
 // selectionWorkloads is a shrink-then-grow id-space sequence: the scratch
 // reused across entries first sizes its tables for n = 384, then runs two
 // smaller graphs on the dirty larger tables, then grows past the original
-// size so zeroed fresh segments mix with stale stamped ones.
+// size so zeroed fresh segments mix with stale ones.
 var selectionWorkloads = []struct {
 	family string
 	n, avg int
@@ -120,6 +120,10 @@ func zFill(z []uint64, src *detrand.Source, zCap uint64) {
 	}
 }
 
+// TestLocalMinEdgesStampedMatchesEagerOnDirtyScratch drives ONE edge
+// scratch through shrinking-then-growing graphs on the full id space,
+// through both the per-call wrapper and a per-round plan, packed and struct
+// paths both.
 func TestLocalMinEdgesStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 	var s EdgeMinScratch // ONE scratch for the whole table: every call after the first runs dirty
 	src := detrand.New(7)
@@ -150,39 +154,70 @@ func TestLocalMinEdgesStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 	}
 }
 
-// TestLocalMinEdgesStampWrap forces the uint32 generation counter to wrap
-// mid-sequence: the selections immediately before the wrap, at the wrap
-// (hard reset to generation 1), and after it must all match the eager
-// reference — the documented reason results stay bit-identical across a
-// wrap.
-func TestLocalMinEdgesStampWrap(t *testing.T) {
-	g, err := gen.ByName("gnm", 256, 8, 11)
-	if err != nil {
-		t.Fatal(err)
+// compactNodeSelect runs one node selection the way the seed searches do:
+// the live set of inQ becomes the plan (on one reused, dirty sel), the
+// selection graph is g induced on it with compact ids, z is gathered from
+// the id-indexed zFull, and the compact result is mapped back to g's ids.
+func compactNodeSelect(sel *NodeSel, g *graph.Graph, inQ []bool, zFull []uint64, zMax uint64) []graph.NodeID {
+	var ids []graph.NodeID
+	for v, in := range inQ {
+		if in {
+			ids = append(ids, graph.NodeID(v))
+		}
 	}
-	edges := g.Edges()
-	z := make([]uint64, len(edges))
-	src := detrand.New(13)
-	var s EdgeMinScratch
-	zFill(z, src, EdgeField(g.N()))
-	edgesEqual(t, "pre-wrap warm-up", LocalMinEdgesZ(&s, g, edges, z), eagerLocalMinEdges(g.N(), edges, z))
-	// Park the counter one step from wrapping; the stamp table now holds
-	// live entries at the maximal generation.
-	s.epoch = ^uint32(0) - 1
-	for i := 0; i < 4; i++ { // crosses ^uint32(0) and the hard reset to 1
-		zFill(z, src, EdgeField(g.N()))
-		want := eagerLocalMinEdges(g.N(), edges, z)
-		edgesEqual(t, fmt.Sprintf("wrap step %d (epoch %d)", i, s.epoch), LocalMinEdgesZ(&s, g, edges, z), want)
+	sel.Init(ids, func(v graph.NodeID) uint64 { return uint64(v) }, zMax)
+	z := make([]uint64, len(sel.Live()))
+	for i, v := range sel.Live() {
+		z[i] = zFull[v]
 	}
-	if s.epoch == 0 || s.epoch > 3 {
-		t.Fatalf("epoch after wrap = %d, want a small positive generation", s.epoch)
+	out := LocalMinNodesSel(nil, g.InducedNodes(ids), sel, z)
+	for i, c := range out {
+		out[i] = sel.Live()[c]
 	}
+	return out
+}
+
+// compactEdgeSelect runs one edge selection the way the matching round
+// does: the edge list's endpoints are ranked in id order, the plan is built
+// over the relabelled edges, and the selected edges are mapped back.
+func compactEdgeSelect(s *EdgeMinScratch, n int, edges []graph.Edge, z []uint64, zMax uint64) []graph.Edge {
+	rank := make([]graph.NodeID, n)
+	for _, e := range edges {
+		rank[e.U], rank[e.V] = 1, 1
+	}
+	var ids []graph.NodeID
+	for v := range rank {
+		if rank[v] != 0 {
+			rank[v] = graph.NodeID(len(ids))
+			ids = append(ids, graph.NodeID(v))
+		}
+	}
+	cedges := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		cedges[i] = graph.Edge{U: rank[e.U], V: rank[e.V]}
+	}
+	var sel EdgeSel
+	EdgeSelInit(&sel, len(ids), cedges, nil, zMax)
+	var out []graph.Edge
+	for _, e := range LocalMinEdgesSel(s, &sel, z) {
+		out = append(out, graph.Edge{U: ids[e.U], V: ids[e.V]})
+	}
+	return out
+}
+
+// zMaxOf is the inclusive z bound of zFill's regime: zCap-1, or all-ones
+// for full-width draws (zCap 0).
+func zMaxOf(zCap uint64) uint64 {
+	if zCap == 0 {
+		return ^uint64(0)
+	}
+	return zCap - 1
 }
 
 // TestNodeSelStampedMatchesEagerOnDirtyScratch drives ONE NodeSel through
-// shrinking-then-growing graphs and changing live masks, comparing
-// LocalMinNodesSel (z indexed by live position) against the eager
-// id-indexed reference, packed and struct paths both.
+// shrinking-then-growing graphs and changing live masks, comparing the
+// compact LocalMinNodesSel (mapped back) against the eager id-indexed
+// reference, packed and struct paths both.
 func TestNodeSelStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 	var sel NodeSel
 	src := detrand.New(23)
@@ -200,16 +235,7 @@ func TestNodeSelStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 			zFull := make([]uint64, n)
 			for _, zCap := range []uint64{EdgeField(n), 0} {
 				zFill(zFull, src, zCap)
-				zMax := zCap - 1
-				if zCap == 0 {
-					zMax = ^uint64(0)
-				}
-				sel.Init(n, inQ, func(v graph.NodeID) uint64 { return uint64(v) }, zMax)
-				zLive := make([]uint64, len(sel.Live()))
-				for i, v := range sel.Live() {
-					zLive[i] = zFull[v]
-				}
-				got := LocalMinNodesSel(nil, g, &sel, zLive)
+				got := compactNodeSelect(&sel, g, inQ, zFull, zMaxOf(zCap))
 				want := eagerLocalMinNodes(g, inQ, zFull)
 				nodesEqual(t, fmt.Sprintf("round %d %s/n=%d zCap=%d", round, w.family, w.n, zCap), got, want)
 
@@ -221,43 +247,99 @@ func TestNodeSelStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 	}
 }
 
-// TestNodeSelStampWrap is the node-side generation-wrap test: positions
-// stamped at the maximal generation must not alias the post-reset
-// generations.
-func TestNodeSelStampWrap(t *testing.T) {
-	g, err := gen.ByName("regular", 128, 6, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLocalMinNodesSelBranchEquivalence pins the selection variants of the
+// per-round node plan to one answer: the packed single-word scan, the
+// unpacked ZKey fallback (z values too wide to pack), and the eager closure
+// reference (LocalMinNodes) — over a full live set and over a half-density
+// one, each selected on its compact induced graph. The (z, id) order is
+// identical under every variant, so the sets must match node for node.
+func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
+	g := gen.GNM(200, 420, 5)
 	n := g.N()
-	src := detrand.New(29)
-	var sel NodeSel
-	inQ := make([]bool, n)
 	zFull := make([]uint64, n)
-	run := func(label string) {
-		for v := range inQ {
-			inQ[v] = src.Uint64()%3 != 0
-		}
-		zFill(zFull, src, EdgeField(n))
-		sel.Init(n, inQ, func(v graph.NodeID) uint64 { return uint64(v) }, EdgeField(n)-1)
-		zLive := make([]uint64, len(sel.Live()))
-		for i, v := range sel.Live() {
-			zLive[i] = zFull[v]
-		}
-		nodesEqual(t, label, LocalMinNodesSel(nil, g, &sel, zLive), eagerLocalMinNodes(g, inQ, zFull))
+	for v := range zFull {
+		zFull[v] = (uint64(v)*2654435761 + 17) % 997 // small values + ties
 	}
-	run("pre-wrap warm-up")
-	sel.epoch = ^uint32(0) - 1
-	for i := 0; i < 4; i++ {
-		run(fmt.Sprintf("wrap step %d (epoch %d)", i, sel.epoch))
+	zFull[0], zFull[2] = zFull[4], zFull[4] // a three-way tie among live nodes
+	for _, tc := range []struct {
+		name string
+		keep func(v int) bool
+	}{
+		{"full", func(v int) bool { return true }},
+		{"half", func(v int) bool { return v%2 == 0 }},
+	} {
+		inQ := make([]bool, n)
+		for v := 0; v < n; v++ {
+			inQ[v] = tc.keep(v)
+		}
+		eager := LocalMinNodes(g, inQ, func(v graph.NodeID) uint64 { return zFull[v] })
+		var sel NodeSel
+		packed := compactNodeSelect(&sel, g, inQ, zFull, 996)
+		if !sel.packed {
+			t.Fatalf("%s: zMax 996 did not take the packed path", tc.name)
+		}
+		unpacked := compactNodeSelect(&sel, g, inQ, zFull, ^uint64(0))
+		if sel.packed {
+			t.Fatalf("%s: full-width zMax took the packed path", tc.name)
+		}
+		nodesEqual(t, tc.name+"/packed", packed, eager)
+		nodesEqual(t, tc.name+"/unpacked", unpacked, eager)
+		if len(eager) == 0 {
+			t.Fatalf("%s: no nodes selected on a non-empty live set", tc.name)
+		}
 	}
-	if sel.epoch == 0 || sel.epoch > 3 {
-		t.Fatalf("epoch after wrap = %d, want a small positive generation", sel.epoch)
+}
+
+// TestCompactRoundMatchesEager is the round-level equivalence of the
+// compact ids: on random graphs whose live sets are under n/4 — rounds that
+// select on a small part of the id space — the node selection on the
+// induced compact graph and the edge selection on the endpoint-ranked edge
+// list, mapped back, must equal the eager selections on the original ids.
+// One NodeSel and one EdgeMinScratch serve the whole table dirty.
+func TestCompactRoundMatchesEager(t *testing.T) {
+	var sel NodeSel
+	var s EdgeMinScratch
+	src := detrand.New(31)
+	for _, w := range selectionWorkloads {
+		for _, frac := range []uint64{5, 8, 16} {
+			g, err := gen.ByName(w.family, w.n, w.avg, w.seed+frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.N()
+			inQ := make([]bool, n)
+			live := 0
+			for v := range inQ {
+				inQ[v] = src.Uint64()%frac == 0
+				if inQ[v] {
+					live++
+				}
+			}
+			if 4*live >= n {
+				t.Fatalf("%s/n=%d: live set %d not under n/4", w.family, n, live)
+			}
+			var edges []graph.Edge
+			for _, e := range g.Edges() {
+				if inQ[e.U] || inQ[e.V] {
+					edges = append(edges, e)
+				}
+			}
+			zFull := make([]uint64, n)
+			z := make([]uint64, len(edges))
+			for _, zCap := range []uint64{EdgeField(n), 0} {
+				label := fmt.Sprintf("%s/n=%d 1/%d zCap=%d", w.family, n, frac, zCap)
+				zFill(zFull, src, zCap)
+				nodesEqual(t, label+" nodes", compactNodeSelect(&sel, g, inQ, zFull, zMaxOf(zCap)), eagerLocalMinNodes(g, inQ, zFull))
+				zFill(z, src, zCap)
+				edgesEqual(t, label+" edges", compactEdgeSelect(&s, n, edges, z, zMaxOf(zCap)), eagerLocalMinEdges(n, edges, z))
+			}
+		}
 	}
 }
 
 // FuzzSelectionStampedMatchesEager feeds arbitrary edge sets and z values
-// through the stamped selections on a process-lifetime dirty scratch and
+// through the selections on process-lifetime dirty scratch — the edge
+// wrapper on the full id space and the compact node and edge rounds — and
 // demands agreement with the eager references. The corpus mixes packed and
 // full-width z regimes via the raw bytes.
 func FuzzSelectionStampedMatchesEager(f *testing.F) {
@@ -294,7 +376,9 @@ func FuzzSelectionStampedMatchesEager(f *testing.F) {
 		}
 		z := make([]uint64, len(edges))
 		zFill(z, src, zCap)
-		edgesEqual(t, "fuzz edges", LocalMinEdgesZ(&s, g, edges, z), eagerLocalMinEdges(n, edges, z))
+		want := eagerLocalMinEdges(n, edges, z)
+		edgesEqual(t, "fuzz edges", LocalMinEdgesZ(&s, g, edges, z), want)
+		edgesEqual(t, "fuzz compact edges", compactEdgeSelect(&s, n, edges, z, zMaxOf(zCap)), want)
 
 		inQ := make([]bool, n)
 		zFull := make([]uint64, n)
@@ -302,73 +386,6 @@ func FuzzSelectionStampedMatchesEager(f *testing.F) {
 			inQ[v] = src.Uint64()%4 != 0
 		}
 		zFill(zFull, src, zCap)
-		zMax := zCap - 1
-		if zCap == 0 {
-			zMax = ^uint64(0)
-		}
-		sel.Init(n, inQ, func(v graph.NodeID) uint64 { return uint64(v) }, zMax)
-		zLive := make([]uint64, len(sel.Live()))
-		for i, v := range sel.Live() {
-			zLive[i] = zFull[v]
-		}
-		nodesEqual(t, "fuzz nodes", LocalMinNodesSel(nil, g, &sel, zLive), eagerLocalMinNodes(g, inQ, zFull))
+		nodesEqual(t, "fuzz nodes", compactNodeSelect(&sel, g, inQ, zFull, zMaxOf(zCap)), eagerLocalMinNodes(g, inQ, zFull))
 	})
-}
-
-// TestNodeSelInitListMatchesMask pins the prebuilt-list constructor: for the
-// list the mask scan would produce, InitList must build a plan whose live
-// order, key vector, position index and packed decision are all identical to
-// Init's — on a single dirty NodeSel driven across shrink-then-grow rounds,
-// interleaving the two constructors so each must overwrite the other's
-// stamped state.
-func TestNodeSelInitListMatchesMask(t *testing.T) {
-	var byMask, byList NodeSel
-	src := detrand.New(29)
-	for round := 0; round < 3; round++ {
-		for _, w := range selectionWorkloads {
-			g, err := gen.ByName(w.family, w.n, w.avg, w.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := g.N()
-			inQ := make([]bool, n)
-			var ids []graph.NodeID
-			for v := range inQ {
-				inQ[v] = src.Uint64()%3 != 0
-				if inQ[v] {
-					ids = append(ids, graph.NodeID(v))
-				}
-			}
-			keyOf := func(v graph.NodeID) uint64 { return SlotKey(uint64(v), 0, n) }
-			zMax := EdgeField(n) - 1
-			// Alternate which constructor runs on which (dirty) plan.
-			a, b := &byMask, &byList
-			if round%2 == 1 {
-				a, b = b, a
-			}
-			a.Init(n, inQ, keyOf, zMax)
-			b.InitList(n, ids, keyOf, zMax)
-
-			if len(a.Live()) != len(b.Live()) {
-				t.Fatalf("%s/n=%d: live %d vs %d", w.family, w.n, len(a.Live()), len(b.Live()))
-			}
-			for i := range a.Live() {
-				if a.Live()[i] != b.Live()[i] || a.Keys()[i] != b.Keys()[i] {
-					t.Fatalf("%s/n=%d: slot %d differs: (%d,%d) vs (%d,%d)",
-						w.family, w.n, i, a.Live()[i], a.Keys()[i], b.Live()[i], b.Keys()[i])
-				}
-			}
-			if a.packed != b.packed || a.idBits != b.idBits || a.n != b.n {
-				t.Fatalf("%s/n=%d: plan metadata differs: packed %v/%v idBits %d/%d",
-					w.family, w.n, a.packed, b.packed, a.idBits, b.idBits)
-			}
-			// The selections the two plans drive must agree exactly.
-			zLive := make([]uint64, len(a.Live()))
-			for i := range zLive {
-				zLive[i] = src.Uint64() % EdgeField(n)
-			}
-			nodesEqual(t, fmt.Sprintf("%s/n=%d round %d", w.family, w.n, round),
-				LocalMinNodesSel(nil, g, b, zLive), LocalMinNodesSel(nil, g, a, zLive))
-		}
-	}
 }

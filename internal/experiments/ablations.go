@@ -11,10 +11,10 @@ import (
 	"repro/internal/tablefmt"
 )
 
-// Ablations A1-A4 probe the design choices DESIGN.md calls out: the
-// threshold fraction of the seed search, the space exponent ε, the
-// independence order c of the stage hash family, and the concentration
-// slack. They are registered alongside the reproduction experiments.
+// Ablations A1-A4 probe the laptop-scale parameter choices of
+// core.DefaultParams: the threshold fraction of the seed search, the space
+// exponent ε, the independence order c of the stage hash family, and the
+// concentration slack. They are registered alongside the reproduction experiments.
 
 func init() {
 	registry["A1"] = RunA1
@@ -169,6 +169,6 @@ func RunA4(cfg Config) []*tablefmt.Table {
 	t.Notes = append(t.Notes,
 		"note: invariant ratios are relative to slack-adjusted bounds, so they are not comparable across rows;",
 		"the operative columns are seeds tried and all-found: small slack exhausts the search budget (falls back),",
-		"large slack accepts the first seed — the paper's predicates are asymptotic (DESIGN.md substitution 4)")
+		"large slack accepts the first seed — the paper's predicates are asymptotic, hence the Slack factor on their deviation terms")
 	return []*tablefmt.Table{t}
 }

@@ -1,8 +1,9 @@
-// Package experiments implements the reproduction suite indexed in
-// DESIGN.md: the paper has no empirical tables or figures (it is a theory
-// paper), so each experiment measures one of its theorem-level claims and
-// renders a table (T1..T9) or figure (F1, F2) via internal/tablefmt.
-// EXPERIMENTS.md records paper-claim vs measured for every entry.
+// Package experiments implements the reproduction suite, indexed by the
+// registry below: the paper has no empirical tables or figures (it is a
+// theory paper), so each experiment measures one of its theorem-level
+// claims and renders a table (T1..T9) or figure (F1, F2) via
+// internal/tablefmt, whose notes state the paper claim next to the
+// measured shape.
 package experiments
 
 import (

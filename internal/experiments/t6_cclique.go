@@ -10,7 +10,7 @@ import (
 // RunT6 reproduces Corollary 2: deterministic MIS (and maximal matching via
 // the line graph) in O(log Δ) CONGESTED CLIQUE rounds, against the prior
 // state of the art of Censor-Hillel et al. [15] at O(log Δ · log n). The
-// baseline is a round-accounting model of [15] (DESIGN.md substitution 5):
+// baseline is a round-accounting model of [15] (cclique.CH15Rounds):
 // its per-phase bit-by-bit seed voting costs Θ(log n) rounds, charged
 // against the same executed phase counts. The shape claim: ours wins
 // everywhere and the ratio grows with n.

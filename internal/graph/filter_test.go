@@ -57,13 +57,14 @@ func TestFilterCSRMatchesReference(t *testing.T) {
 				}
 			}
 			wantW := referenceFilter(g, func(u, v NodeID) bool { return !mask[u] && !mask[v] })
-			wantI := referenceFilter(g, func(u, v NodeID) bool { return mask[u] && mask[v] })
+			ids := idsOf(g.N(), func(v int) bool { return mask[v] })
+			wantI := rankedInduced(g, ids)
 			for _, workers := range []int{1, 2, 8} {
 				gotW := g.WithoutNodesW(mask, workers)
 				if !sameGraph(gotW, wantW) {
 					t.Fatalf("n=%d m=%d mask=%d workers=%d: WithoutNodesW mismatch", tc.n, tc.m, maskKind, workers)
 				}
-				gotI := g.InducedNodesW(mask, workers)
+				gotI := g.InducedNodesW(ids, workers)
 				if !sameGraph(gotI, wantI) {
 					t.Fatalf("n=%d m=%d mask=%d workers=%d: InducedNodesW mismatch", tc.n, tc.m, maskKind, workers)
 				}

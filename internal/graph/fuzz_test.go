@@ -127,6 +127,7 @@ func FuzzIntoVariantsMatchAllocating(f *testing.F) {
 		for v := range mask {
 			mask[v] = maskBits&(1<<(v%8)) != 0
 		}
+		ids := idsOf(n, func(v int) bool { return mask[v] })
 		for _, workers := range []int{1, 3} {
 			dst := new(CSR)
 
@@ -136,7 +137,7 @@ func FuzzIntoVariantsMatchAllocating(f *testing.F) {
 			}
 
 			dirty(dst, n+16)
-			if got, want := g.InducedNodesInto(mask, workers, dst), g.InducedNodesW(mask, workers); !graphsEqual(got, want) {
+			if got, want := g.InducedNodesInto(ids, workers, dst), g.InducedNodesW(ids, workers); !graphsEqual(got, want) {
 				t.Fatalf("InducedNodesInto(workers=%d) differs on dirty buffer: got %v, want %v", workers, got, want)
 			}
 
@@ -157,7 +158,7 @@ func FuzzIntoVariantsMatchAllocating(f *testing.F) {
 			// Back-to-back reuse of the same buffer must also be clean when
 			// the second build is strictly smaller than the first.
 			g.WithoutNodesInto(make([]bool, n), workers, dst) // keeps every edge
-			if got, want := g.InducedNodesInto(mask, workers, dst), g.InducedNodesW(mask, workers); !graphsEqual(got, want) {
+			if got, want := g.InducedNodesInto(ids, workers, dst), g.InducedNodesW(ids, workers); !graphsEqual(got, want) {
 				t.Fatalf("InducedNodesInto(workers=%d) differs on reused buffer", workers)
 			}
 		}

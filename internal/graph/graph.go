@@ -5,9 +5,11 @@
 // square graph G² for Linial colouring, and r-hop balls for Section 5).
 //
 // Graphs are immutable once built. Node ids are dense int32 values in
-// [0, N); algorithms that remove nodes produce a new Graph with the same id
-// space in which removed nodes are isolated, so ids remain stable across the
-// iterations of Luby-style loops.
+// [0, N). WithoutNodes keeps the id space and isolates the removed nodes, so
+// ids remain stable across the iterations of Luby-style loops; InducedNodes
+// relabels the kept nodes onto compact ids in their original order, which
+// is how the seed searches give each round an id space equal to its live
+// set.
 package graph
 
 import (
@@ -294,13 +296,10 @@ func FromEdgesInto(n int, edges []Edge, dst *CSR) *Graph {
 		adj[offsets[e.V]+cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	// Neighbour lists are already sorted because edges were sorted by (U,V)
-	// for the U side, but the V side receives entries ordered by U, which is
-	// sorted too. Sort defensively anyway (allocation-free slices.Sort):
-	// correctness beats micro-cost.
-	for v := 0; v < n; v++ {
-		slices.Sort(adj[offsets[v]:offsets[v+1]])
-	}
+	// Neighbour lists come out strictly ascending without a sort: node x
+	// receives its lower neighbours u < x from the edges {u, x}, which the
+	// (U,V) order places in ascending u before every edge {x, v}, and then
+	// its upper neighbours in ascending v.
 	dst.offsets, dst.adj, dst.cursor = offsets, adj, cursor
 	dst.g = Graph{offsets: offsets, adj: adj, m: len(uniq)}
 	return &dst.g

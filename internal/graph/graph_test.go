@@ -126,15 +126,16 @@ func TestWithoutNodes(t *testing.T) {
 }
 
 func TestInducedNodes(t *testing.T) {
-	// Path 0-1-2-3; induce on {0,1,3}: only edge 0-1 survives.
+	// Path 0-1-2-3; induce on {1,2,3}: edges 1-2 and 2-3 survive, as
+	// 0-1 and 1-2 on the compact ids.
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	h := g.InducedNodes([]bool{true, true, false, true})
-	if h.M() != 1 || !h.HasEdge(0, 1) {
-		t.Errorf("InducedNodes wrong: m=%d", h.M())
+	h := g.InducedNodes([]NodeID{1, 2, 3})
+	if h.N() != 3 || h.M() != 2 || !h.HasEdge(0, 1) || !h.HasEdge(1, 2) {
+		t.Errorf("InducedNodes wrong: n=%d m=%d", h.N(), h.M())
 	}
 }
 

@@ -23,6 +23,7 @@ type CSR struct {
 	adj     []NodeID
 	edges   []Edge  // canonicalised edge scratch for FromEdgesInto
 	cursor  []int32 // per-node write cursor for FromEdgesInto
+	rank    []int32 // id-to-position map of InducedNodesInto
 	g       Graph
 }
 
@@ -140,28 +141,71 @@ func (g *Graph) SubgraphEdgesInto(edges []Edge, dst *CSR) *Graph {
 	return FromEdgesInto(g.N(), edges, dst)
 }
 
-// InducedNodes returns the subgraph induced on the nodes with keep[v]==true,
-// preserving node ids (nodes outside the set become isolated). It runs at
-// the pool's automatic worker count; use InducedNodesW to pin one.
-func (g *Graph) InducedNodes(keep []bool) *Graph { return g.InducedNodesW(keep, 0) }
+// InducedNodes returns the subgraph induced on ids — an ascending,
+// duplicate-free list of g's nodes — relabelled onto compact ids: node i of
+// the result is ids[i]. The relabelling preserves id order, so neighbour
+// lists stay ascending and every (value, id) tie-break ranks the nodes
+// exactly as it does on g's ids. It runs at the pool's automatic worker
+// count; use InducedNodesW to pin one.
+func (g *Graph) InducedNodes(ids []NodeID) *Graph { return g.InducedNodesW(ids, 0) }
 
-// InducedNodesW is InducedNodes with the rebuild sharded over vertex ranges
+// InducedNodesW is InducedNodes with the rebuild sharded over the id list
 // on up to `workers` host workers. The result is identical at any worker
 // count.
-func (g *Graph) InducedNodesW(keep []bool, workers int) *Graph {
+func (g *Graph) InducedNodesW(ids []NodeID, workers int) *Graph {
 	dst := new(CSR)
-	g.InducedNodesInto(keep, workers, dst)
+	g.InducedNodesInto(ids, workers, dst)
 	return dst.detach()
 }
 
 // InducedNodesInto is InducedNodesW writing into dst instead of allocating.
-// The returned graph aliases dst's storage (see CSR). The result is
+// The returned graph aliases dst's storage (see CSR). The seed-search round
+// loops build their selection graphs with it, so a round's id space is its
+// live set: one O(g.N()) rank wipe, then two sharded passes over the kept
+// nodes' neighbour lists (count, prefix sum, fill) in the filterCSRInto
+// layout. Every destination slot is written, so the result is
 // byte-identical to InducedNodesW for any prior contents of dst.
-func (g *Graph) InducedNodesInto(keep []bool, workers int, dst *CSR) *Graph {
-	if len(keep) != g.N() {
-		panic("graph: InducedNodes mask length mismatch")
+func (g *Graph) InducedNodesInto(ids []NodeID, workers int, dst *CSR) *Graph {
+	if g == &dst.g {
+		panic("graph: Into destination buffer backs the source graph")
 	}
-	return g.filterCSRInto(dst, workers, func(u, v NodeID) bool { return keep[u] && keep[v] })
+	// rank[v] is 1 + v's position in ids, 0 for nodes outside it.
+	rank := Grow(dst.rank, g.N())
+	clear(rank)
+	for i, v := range ids {
+		if i > 0 && v <= ids[i-1] {
+			panic("graph: InducedNodes ids not strictly ascending")
+		}
+		rank[v] = int32(i + 1)
+	}
+	k := len(ids)
+	offsets := Grow(dst.offsets, k+1)
+	offsets[0] = 0
+	parallel.ForEach(workers, k, func(i int) {
+		cnt := int32(0)
+		for _, u := range g.Neighbors(ids[i]) {
+			if rank[u] != 0 {
+				cnt++
+			}
+		}
+		offsets[i+1] = cnt
+	})
+	for i := 0; i < k; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	adj := Grow(dst.adj, int(offsets[k]))
+	parallel.ForEach(workers, k, func(i int) {
+		w := offsets[i]
+		for _, u := range g.Neighbors(ids[i]) {
+			if r := rank[u]; r != 0 {
+				adj[w] = r - 1
+				w++
+			}
+		}
+	})
+	dst.offsets, dst.adj, dst.rank = offsets, adj, rank
+	dst.g = Graph{offsets: offsets, adj: adj, m: int(offsets[k]) / 2}
+	return &dst.g
 }
 
 // LineGraph returns the line graph L(G) together with the canonical edge

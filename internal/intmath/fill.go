@@ -1,10 +1,10 @@
 package intmath
 
 // Fill64 sets every element of dst to v. The Go compiler only recognises
-// zero-fills as memclr, so the non-zero sentinel wipes of the dense selection
-// tables (core.EdgeFold/NodeFold, LocalMinEdgesSel's dense branch) would
-// otherwise run one store per iteration with full loop overhead; the 8-way
-// unroll keeps the wipe at memory bandwidth without assembly.
+// zero-fills as memclr, so the all-ones sentinel wipe of the edge
+// selection's per-seed min table (core.LocalMinEdgesSel) would otherwise
+// run one store per iteration with full loop overhead; the 8-way unroll
+// keeps the wipe at memory bandwidth without assembly.
 func Fill64(dst []uint64, v uint64) {
 	i := 0
 	for ; i+8 <= len(dst); i += 8 {

@@ -20,8 +20,8 @@
 // edge-removal maximiser given the current graph — which achieves at least
 // the per-phase expected progress and hence the same O(log n) total phase
 // bound; stage counts (the paper's round proxy) are reported alongside
-// both round accountings (see DESIGN.md substitutions 2-3 and experiment
-// T5).
+// both round accountings (Result.RoundsPaper and Result.RoundsExecuted,
+// tabulated by experiment T5).
 package lowdeg
 
 import (
@@ -214,13 +214,14 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	}
 	fam := hashfam.New(minField, 2)
 
-	cur := g
 	// Solve-lifetime state stays off the arena (the arena is Reset each
 	// phase, these masks persist across phases). The live list mirrors the
-	// alive mask as an ascending id list, compacted as nodes leave: phases
-	// touch only the surviving set, so the O(n) id-space scans (isolated
-	// join, NodeSel construction) shrink with the graph instead of paying n
-	// every phase.
+	// alive mask as an ascending id list, and the phase graph cur is the
+	// subgraph induced on it, relabelled onto compact ids: cur's node i is
+	// liveList[i]. Both shrink as nodes leave, so every per-phase pass —
+	// isolated join, selection plan, seed search, rebuild — costs
+	// O(|alive|), not n.
+	cur := g
 	alive := make([]bool, n)
 	liveList := make([]graph.NodeID, n)
 	for v := range alive {
@@ -228,21 +229,29 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 		liveList[v] = graph.NodeID(v)
 	}
 	inMIS := make([]bool, n)
+	// compactLive drops the nodes that left alive from liveList and cur,
+	// keeping the invariant that cur's nodes are exactly liveList.
 	compactLive := func() {
-		keep := liveList[:0]
-		for _, v := range liveList {
+		keep := sc.NodeIDsCap(len(liveList))
+		w := 0
+		for i, v := range liveList {
 			if alive[v] {
-				keep = append(keep, v)
+				keep = append(keep, graph.NodeID(i))
+				liveList[w] = v
+				w++
 			}
 		}
-		liveList = keep
+		if w < len(liveList) {
+			liveList = liveList[:w]
+			cur = cur.InducedNodesInto(keep, p.Workers(), sc.Loop().Next())
+		}
 	}
 	evaluator := hashfam.NewEvaluator(fam)
 	// The per-node hash keys are the (solve-invariant) G² colours; each
 	// phase builds a selection plan (NodeSel) over the surviving nodes, so a
 	// candidate seed costs its share of one block-major kernel pass over
-	// |alive| keys — which shrinks with the graph — plus a live-list
-	// selection scan. One sink per worker serves every seed of every phase.
+	// |alive| keys plus a selection scan of the phase graph. One sink per
+	// worker serves every seed of every phase.
 	colorKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
 	sel := sc.NodeSel()
 	driver := condexp.NewBlockSearch(evaluator, p.Workers(), func() condexp.Sink {
@@ -250,8 +259,8 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	})
 
 	joinIsolated := func() {
-		for _, v := range liveList {
-			if alive[v] && cur.Degree(v) == 0 {
+		for i, v := range liveList {
+			if cur.Degree(graph.NodeID(i)) == 0 {
 				inMIS[v] = true
 				alive[v] = false
 			}
@@ -277,10 +286,9 @@ loop:
 			st := PhaseStats{Stage: stage, Phase: phase, EdgesBefore: cur.M()}
 
 			// Per-phase selection plan over the surviving nodes, shared
-			// read-only by the concurrent per-seed evaluations. The live list
-			// mirrors the alive mask (compacted after every removal), so the
-			// plan costs O(|alive|), not O(n).
-			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
+			// read-only by the concurrent per-seed evaluations: its
+			// positions are cur's compact ids.
+			sel.Init(liveList, colorKeyOf, fam.P()-1)
 			// Luby's pairwise analysis guarantees E[removed] >= |E|/108
 			// (the Lemma 13 constant); demand the configured fraction.
 			threshold := int64(p.ThresholdFrac * float64(cur.M()) / 108.0)
@@ -314,24 +322,19 @@ loop:
 			st.SeedFound = search.Found
 
 			z := evaluator.EvalKeysW(search.Seed, sel.Keys(), sc.Uint64s(len(sel.Keys())), p.Workers())
-			ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), cur, sel, z)
+			ih := core.LocalMinNodesSel(sc.NodeIDsCap(len(liveList)), cur, sel, z)
 			st.Selected = len(ih)
-			remove := sc.Bools(n)
-			for _, v := range ih {
+			for _, c := range ih {
+				v := liveList[c]
 				inMIS[v] = true
 				alive[v] = false
-				remove[v] = true
 				res.IndependentSet = append(res.IndependentSet, v)
 			}
-			for _, v := range ih {
-				for _, u := range cur.Neighbors(v) {
-					if !remove[u] {
-						remove[u] = true
-						alive[u] = false
-					}
+			for _, c := range ih {
+				for _, u := range cur.Neighbors(c) {
+					alive[liveList[u]] = false
 				}
 			}
-			cur = cur.WithoutNodesInto(remove, p.Workers(), sc.Loop().Next())
 			compactLive()
 			st.EdgesAfter = cur.M()
 			st.RemovedFraction = float64(st.EdgesBefore-st.EdgesAfter) / float64(st.EdgesBefore)

@@ -172,9 +172,9 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source,
 	res := &MatchingResult{}
 	cur := g
 	n := g.N()
-	// The epoch-stamped selection scratch survives sc.Reset (its stamp
-	// array and generation counter must stay paired), so it is drawn from
-	// the Context's persistent slot rather than checked out per round.
+	// The selection scratch survives sc.Reset, so its min tables are drawn
+	// from the Context's persistent slot and reused across rounds rather
+	// than checked out per round.
 	lm := sc.EdgeMin()
 	// Selection-field draws, as in MISIn: below p the packed edge path of
 	// LocalMinEdgesZ applies whenever the id width allows it.

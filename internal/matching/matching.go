@@ -53,27 +53,49 @@ type IterStats struct {
 }
 
 // mmRound is the per-round state of the seed search, shared read-only by
-// every worker's sink: the selection plan over E* and the B-node degrees
-// the objective weighs matched nodes with.
+// every worker's sink: the selection plan over E* on compact ids, the map
+// ids from a compact id back to its node, and the B-node degrees the
+// objective weighs matched nodes with.
 type mmRound struct {
 	sel core.EdgeSel
+	ids []graph.NodeID
 	b   []bool
 	deg []int
 }
 
-// value is the Lemma 13 objective of a candidate matching E_h: the summed
-// degree of its matched B-nodes.
+// value is the Lemma 13 objective of a candidate matching E_h (compact
+// ids): the summed degree of its matched B-nodes.
 func (r *mmRound) value(eh []graph.Edge) int64 {
 	var v int64
 	for _, e := range eh {
-		if r.b[e.U] {
-			v += int64(r.deg[e.U])
+		if u := r.ids[e.U]; r.b[u] {
+			v += int64(r.deg[u])
 		}
-		if r.b[e.V] {
-			v += int64(r.deg[e.V])
+		if w := r.ids[e.V]; r.b[w] {
+			v += int64(r.deg[w])
 		}
 	}
 	return v
+}
+
+// compactEdges relabels a round's edge list onto compact ids: it appends
+// the endpoints of estar's edges to ids (ascending, so the relabel keeps id
+// order) and the edges, as positions in ids, to dst. rank is a scratch
+// table of estar.N() entries; only the endpoint slots are written and read.
+// The canonical (U, V) order and every (z, key) comparison of the selection
+// are unchanged, while its per-seed tables shrink to |ids| <= 2|edges|
+// words.
+func compactEdges(estar *graph.Graph, edges []graph.Edge, rank, ids []graph.NodeID, dst []graph.Edge) ([]graph.NodeID, []graph.Edge) {
+	for v := 0; v < estar.N(); v++ {
+		if estar.Degree(graph.NodeID(v)) > 0 {
+			rank[v] = graph.NodeID(len(ids))
+			ids = append(ids, graph.NodeID(v))
+		}
+	}
+	for _, e := range edges {
+		dst = append(dst, graph.Edge{U: rank[e.U], V: rank[e.V]})
+	}
+	return ids, dst
 }
 
 // mmSink is one worker's seed-search sink: the edge selection of each
@@ -169,12 +191,14 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		model.ChargeRounds(2, "mm.collect") // sort + request round (§2.2)
 
 		// Derandomized Luby step on E* (Section 3.3). The slot-0 hash keys
-		// and the selection plan (EdgeSel) are seed-independent, so they are
+		// of the global edges and the selection plan (EdgeSel) over E*
+		// relabelled onto its endpoints are seed-independent, so they are
 		// built once per round; every candidate seed then costs its share of
 		// one block-major kernel pass plus a selection over E*'s endpoints.
 		keys := core.SlotKeysInto(sc.Uint64sCap(len(estarEdges)), estarEdges, 0, n)
-		core.EdgeSelInit(&rd.sel, n, estarEdges, sc.Uint64sCap(len(estarEdges)), fam.P()-1)
-		rd.b, rd.deg = sp.B, sp.Deg
+		ids, cedges := compactEdges(estar, estarEdges, sc.NodeIDsCap(n)[:n], sc.NodeIDsCap(n), sc.EdgesCap(len(estarEdges)))
+		core.EdgeSelInit(&rd.sel, len(ids), cedges, sc.Uint64sCap(len(cedges)), fam.P()-1)
+		rd.ids, rd.b, rd.deg = ids, sp.B, sp.Deg
 		// Lemma 13 ⇒ E_h[Σ_{v∈N_h} d(v)] >= Σ_{v∈B} d(v)/109; we demand a
 		// ThresholdFrac fraction of that.
 		st.Threshold = int64(p.ThresholdFrac * float64(sp.BWeight) / 109.0)
@@ -211,14 +235,17 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.ObjectiveValue = search.Value
 
 		z := evaluator.EvalKeysW(search.Seed, keys, sc.Uint64s(len(keys)), p.Workers())
-		eh := core.LocalMinEdgesSel(sc.EdgeMin(), &rd.sel, z)
-		if len(eh) == 0 {
+		first := len(res.Matching)
+		for _, e := range core.LocalMinEdgesSel(sc.EdgeMin(), &rd.sel, z) {
+			res.Matching = append(res.Matching, graph.Edge{U: ids[e.U], V: ids[e.V]})
+		}
+		if len(res.Matching) == first {
 			// Unconditional-progress fallback: match the smallest-key edge.
-			eh = []graph.Edge{smallestEdge(cur)}
+			res.Matching = append(res.Matching, smallestEdge(cur))
 			res.FallbackPicks++
 		}
+		eh := res.Matching[first:]
 		st.MatchedEdges = len(eh)
-		res.Matching = append(res.Matching, eh...)
 
 		matched := sc.Bools(n)
 		for _, e := range eh {

@@ -70,8 +70,9 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 }
 
 // misRound is the per-round state of the seed search, shared read-only by
-// every worker's sink: the candidate graph Q' and the flattened N_v tables
-// (owner t holds nvFlat[nvStart[t]:nvStart[t+1]]) the objective scores.
+// every worker's sink: the candidate graph Q' on compact ids and the
+// flattened N_v tables (owner t, a node of the round's graph, holds the
+// compact ids nvFlat[nvStart[t]:nvStart[t+1]]) the objective scores.
 type misRound struct {
 	q       *graph.Graph
 	deg     []int
@@ -80,10 +81,10 @@ type misRound struct {
 	nvStart []int
 }
 
-// score is the Lemma 21 objective of a candidate independent set I_h: the
-// summed degree of the B-nodes whose N_v meets I_h. inIh is the caller's
-// all-false membership mask; only the touched entries are set and reset,
-// so a pooled mask stays clean at O(|I_h|) cost.
+// score is the Lemma 21 objective of a candidate independent set I_h
+// (compact ids): the summed degree of the B-nodes whose N_v meets I_h.
+// inIh is the caller's all-false membership mask; only the touched entries
+// are set and reset, so a pooled mask stays clean at O(|I_h|) cost.
 func (r *misRound) score(inIh []bool, ih []graph.NodeID) int64 {
 	for _, v := range ih {
 		inIh[v] = true
@@ -140,8 +141,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	// The slot-0 node keys are seed-independent, so each round builds a
 	// selection plan (NodeSel) over its Q' candidates once: a candidate
 	// seed then costs its share of one block-major kernel pass over |Q'|
-	// keys — the touched set — rather than the full id space. One sink per
-	// worker serves every seed of every round.
+	// keys plus a selection over Q' on compact ids, never the full id
+	// space. One sink per worker serves every seed of every round.
 	sel := sc.NodeSel()
 	slotKeyOf := func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }
 	gamma := core.NewDegreeClasses(n, p.InvDelta).GroupSize()
@@ -203,7 +204,12 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		// smallest ids — "an arbitrary subset" — for determinism), plus
 		// their Q'-neighbourhoods on v's machine. The per-owner lists are
 		// flattened into one arena-backed array with an offsets table so a
-		// round costs no per-node allocations.
+		// round costs no per-node allocations; they hold Q' members by
+		// their compact ids in q (rank is read only at Q' members).
+		rank := sc.NodeIDsCap(n)[:n]
+		for i, v := range sp.QList {
+			rank[v] = graph.NodeID(i)
+		}
 		nvFlat := sc.NodeIDsCap(2 * cur.M())
 		nvStart := sc.IntsCap(n + 1)
 		nvOwner := sc.NodeIDsCap(n)
@@ -216,7 +222,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			lo := len(nvFlat)
 			for _, u := range cur.Neighbors(graph.NodeID(v)) {
 				if sp.Q[u] {
-					nvFlat = append(nvFlat, u)
+					nvFlat = append(nvFlat, rank[u])
 					if len(nvFlat)-lo == gamma {
 						break
 					}
@@ -240,10 +246,9 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		model.ChargeRounds(2, "mis.collect")
 
 		// The selection plan for this round's candidate set, built once and
-		// then shared read-only by every concurrent per-seed evaluation. The
-		// sparsifier already produced Q' as an ascending list, so the plan is
-		// built from it directly — no second O(n) mask scan per round.
-		sel.InitList(n, sp.QList, slotKeyOf, fam.P()-1)
+		// then shared read-only by every concurrent per-seed evaluation: Q'
+		// as the sparsifier's ascending list, whose positions are q's ids.
+		sel.Init(sp.QList, slotKeyOf, fam.P()-1)
 		rd = misRound{q: q, deg: sp.Deg, nvOwner: nvOwner, nvFlat: nvFlat, nvStart: nvStart}
 		// Lemma 21 ⇒ E[Σ_{v∈N_h} d(v)] >= 0.01δ·Σ_{v∈B} d(v).
 		st.Threshold = int64(p.ThresholdFrac * 0.01 * p.Delta() * float64(sp.BWeight))
@@ -281,7 +286,9 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), q, sel, z)
 		st.Selected = len(ih)
 		remove := sc.Bools(n)
-		for _, v := range ih {
+		for i, c := range ih {
+			v := sp.QList[c]
+			ih[i] = v
 			inMIS[v] = true
 			alive[v] = false
 			remove[v] = true

@@ -168,19 +168,16 @@ func (c *Context) Loop() *BufPair { return &c.loop }
 func (c *Context) Stage() *BufPair { return &c.stage }
 
 // EdgeMin returns the Context's persistent edge-selection scratch. Like the
-// CSR double-buffers it survives Reset: the epoch-stamped min tables inside
-// it pair a stamp array with a generation counter, and that pairing must
-// live as long as the buffers do (a recycled stamp array under a fresh
-// counter could alias a live generation). Keeping the pair here means warm
-// Engine re-solves reuse it allocation-free, and its self-invalidating
-// epochs make any prior contents unobservable — the selection results are
-// identical for any history of the Context.
+// CSR double-buffers it survives Reset, so warm Engine re-solves reuse its
+// min tables allocation-free; every selection wipes the table over its
+// round's id space first, so prior contents are unobservable and the
+// results are identical for any history of the Context.
 func (c *Context) EdgeMin() *core.EdgeMinScratch { return &c.edgeMin }
 
 // NodeSel returns the Context's persistent node-selection plan, with the
-// same Reset-surviving lifetime and epoch-stamp rationale as EdgeMin. Round
-// loops re-Init it every round (advancing its generation) and share it
-// read-only across concurrent per-seed evaluations.
+// same Reset-surviving lifetime as EdgeMin. Round loops re-Init it every
+// round (overwriting every live slot) and share it read-only across
+// concurrent per-seed evaluations.
 func (c *Context) NodeSel() *core.NodeSel { return &c.nodeSel }
 
 // BufPair is a pair of graph.CSR destination buffers used in alternation:

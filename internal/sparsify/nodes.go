@@ -28,12 +28,14 @@ type NodeResult struct {
 	Deg        []int
 	Q0         []bool
 	Q          []bool // Q' mask
-	// QList is Q as an ascending id list, built in the same pass that counts
-	// the final candidate set: callers that need the candidates as a list
-	// (core.NodeSel.InitList on the MIS path) take it directly instead of
-	// re-scanning the O(n) mask every round. len(QList) == CountMask(Q).
-	QList        []graph.NodeID
-	QGraph       *graph.Graph // induced subgraph on Q' (same node ids)
+	// QList is Q as an ascending id list: the MIS round's candidates
+	// (core.NodeSel.Init), and the map from QGraph's compact ids back to
+	// g's. len(QList) == CountMask(Q).
+	QList []graph.NodeID
+	// QGraph is the subgraph induced on Q', relabelled onto compact ids:
+	// its node i is QList[i] (graph.InducedNodesInto), so the MIS seed
+	// search selects over |Q'| ids, not g's id space.
+	QGraph       *graph.Graph
 	Stages       []StageReport
 	UsedFallback bool
 }
@@ -134,9 +136,8 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		copy(cur, q0)
 		res.UsedFallback = true
 	}
-	// One pass builds the Q' list for both the normal and fallback masks —
-	// the round's candidates as data, so the MIS loop never re-scans the
-	// mask (core.NodeSel.InitList).
+	// One pass builds the Q' list for both the normal and fallback masks:
+	// the round's candidates, and the compact ids of QGraph.
 	qlist := sc.NodeIDsCap(n)
 	for v := 0; v < n; v++ {
 		if cur[v] {
@@ -145,7 +146,7 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	}
 	res.Q = cur
 	res.QList = qlist
-	res.QGraph = g.InducedNodesInto(cur, workers, sc.Stage().Next())
+	res.QGraph = g.InducedNodesInto(qlist, workers, sc.Stage().Next())
 	return res
 }
 
